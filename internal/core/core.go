@@ -84,9 +84,10 @@ type Options struct {
 	Phys phys.Options
 	// Warm, if non-nil, is a prior schedule of this (possibly edited) assay.
 	// The exact engines feed it to the MILP as an additional warm-start
-	// candidate after re-timing (sched.RetimeLike); the heuristic engine
-	// races the re-timed schedule against the list scheduler and keeps the
-	// better result. This is the incremental re-synthesis hook.
+	// candidate after re-timing (sched.Retime); the heuristic engine races
+	// the re-timed schedule against the list scheduler and keeps the better
+	// result. This is the incremental re-synthesis hook; RecoverContext sets
+	// it to the interrupted schedule.
 	Warm *sched.Schedule
 	// Progress, if non-nil, receives pipeline progress events: stage
 	// enter/exit and every improving incumbent of an exact solve. It is
@@ -261,13 +262,18 @@ func (r *Result) Simulator() *sim.Simulator {
 // describing every violation, or nil; on success the result is marked
 // Verified.
 func (r *Result) Verify() error {
+	return r.crossCheck(verify.CheckAllStrategy(r.Schedule, r.Architecture, storage.New(r.Storage)))
+}
+
+// crossCheck completes a checker run over the result: on top of the
+// checker's verdict, the Bind stage's summary must agree with the checker's
+// recomputed transportation workload. It marks the result Verified when both
+// hold.
+func (r *Result) crossCheck(rep *verify.Report, err error) error {
 	r.Verified = false
-	rep, err := verify.CheckAllStrategy(r.Schedule, r.Architecture, storage.New(r.Storage))
 	if err != nil {
 		return err
 	}
-	// The Bind stage's summary must agree with the checker's recomputed
-	// transportation workload.
 	var extra []verify.Violation
 	if r.Binding.Transports != rep.Transports {
 		extra = append(extra, verify.Violation{

@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"flowsyn/internal/arch"
 	"flowsyn/internal/sched"
 	"flowsyn/internal/seqgraph"
 	"flowsyn/internal/sim"
-	"flowsyn/internal/storage"
-	"flowsyn/internal/verify"
 )
 
 // Recovery summarizes an online re-synthesis: the injected fault, how much of
@@ -51,12 +48,6 @@ type recoverState struct {
 	pin    *sched.Pin
 }
 
-// Recover re-synthesizes an interrupted execution around a fault injected at
-// fault.Time. See RecoverContext.
-func Recover(opts Options, prior *Result, fault sim.Fault) (*Result, error) {
-	return RecoverContext(context.Background(), opts, prior, fault)
-}
-
 // RecoverContext performs fault-tolerant online re-synthesis: it freezes
 // everything prior's execution had completed or in flight when the fault hit
 // (sim.ExecutionPrefix), pins that prefix — assignments, departure slots and
@@ -73,9 +64,12 @@ func Recover(opts Options, prior *Result, fault sim.Fault) (*Result, error) {
 // placement and the I/O model are taken from prior, whatever opts says; opts
 // contributes the engine choice, objective mode, time limit, physical-design
 // rules and the Verify/Progress hooks. The prior schedule warm-starts the
-// suffix solve. With opts.Verify set, the spliced plan is replayed end to end
-// by verify.CheckRecovery, which fails the recovery on any re-executed prefix
-// work, pre-fault suffix start, or fault-mask violation.
+// suffix solve (it replaces opts.Warm). The recovery runs the ordinary
+// pipeline, so the Auto engine races the exact ILP against the list scheduler
+// here too. With opts.Verify set, the spliced plan is replayed end to end by
+// verify.CheckRecovery under the prior storage strategy, which fails the
+// recovery on any re-executed prefix work, pre-fault suffix start,
+// fault-mask or strategy violation.
 //
 // The returned result is a complete synthesis of the same assay whose
 // Recovery field carries the splice metrics.
@@ -93,6 +87,7 @@ func RecoverContext(ctx context.Context, opts Options, prior *Result, fault sim.
 	// absence) is physical, so the recovery keeps the strategy the prior
 	// result was synthesized under.
 	opts.Storage = prior.Storage
+	opts.Warm = s0
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
@@ -130,7 +125,7 @@ func RecoverContext(ctx context.Context, opts Options, prior *Result, fault sim.
 		res:   &Result{Storage: opts.Storage},
 		rec:   &recoverState{prior: prior, fault: fault, prefix: prefix, pin: pin},
 	}
-	res, err := runPipeline(ctx, recoverPipeline(opts), st)
+	res, err := st.run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -146,117 +141,4 @@ func RecoverContext(ctx context.Context, opts Options, prior *Result, fault sim.
 		MakespanDelta:      res.Schedule.Makespan - s0.Makespan,
 	}
 	return res, nil
-}
-
-// recoverPipeline returns the online-recovery stages: the schedule and arch
-// stages are replaced by prefix-pinning variants, and the verify stage (when
-// requested) replays the faulted execution end to end instead of only
-// checking the recovered plan in isolation.
-func recoverPipeline(opts Options) []stage {
-	stages := []stage{
-		{name: StageSchedule, run: runRecoverScheduleStage},
-		{name: StageBind, run: runBindStage},
-		{name: StageArch, run: runRecoverArchStage},
-		{name: StagePhys, run: runPhysStage},
-	}
-	if opts.Verify {
-		stages = append(stages, stage{name: StageVerify, run: runRecoverVerifyStage})
-	}
-	return stages
-}
-
-// runRecoverScheduleStage re-schedules the assay suffix under the prefix pin.
-// The exact engines receive the pin directly (pinned operations become
-// degenerate boxes, suffix starts are floored at the fault instant) with the
-// prior schedule as warm start; the heuristic engine races the pinned list
-// scheduler against the pinned re-timing of the prior schedule.
-func runRecoverScheduleStage(ctx context.Context, st *stageState) error {
-	opts, g, rc := st.opts, st.graph, st.rec
-	beta := 0.0 // 0 means default (storage-aware) inside ILPOptions
-	if opts.Mode == sched.TimeOnly {
-		beta = -1 // disables the storage term
-	}
-	model := storage.New(opts.Storage)
-	exact := opts.Engine == ExactILP ||
-		(opts.Engine == Auto && g.NumOps() <= sched.MaxExactOps)
-	if exact {
-		s, info, err := sched.ILPScheduleContext(ctx, g, sched.ILPOptions{
-			Devices:   opts.Devices,
-			Transport: opts.Transport,
-			Beta:      beta,
-			TimeLimit: opts.ILPTimeLimit,
-			WarmStart: true,
-			Warm:      rc.prior.Schedule,
-			Pin:       rc.pin,
-			Storage:   model,
-			Progress:  scheduleProgress(opts),
-		})
-		if err != nil {
-			return err
-		}
-		st.res.Schedule, st.res.SchedInfo = s, info
-	} else {
-		s, err := sched.ListScheduleContext(ctx, g, sched.ListOptions{
-			Devices:   opts.Devices,
-			Transport: opts.Transport,
-			Mode:      opts.Mode,
-			Pin:       rc.pin,
-			Storage:   model,
-		})
-		if err != nil {
-			return err
-		}
-		// The prior schedule, re-timed around the pin, replaces the list
-		// result when it scores better on the configured objective — the
-		// suffix usually resembles what was already planned.
-		if ws, werr := sched.RetimePinnedWith(g, rc.prior.Schedule, rc.pin, opts.Devices, opts.Transport, model); werr == nil {
-			if sched.ObjectiveScore(ws, opts.Mode) < sched.ObjectiveScore(s, opts.Mode) {
-				s = ws
-			}
-		}
-		st.res.Schedule = s
-	}
-	reportScheduleOutcome(opts, st.res)
-	return nil
-}
-
-// runRecoverArchStage re-routes the transportation workload on the prior
-// chip: placement is fixed to the prior device positions, the executed
-// internal routes are re-installed verbatim (shielded from rip-up), and the
-// failed resource is masked from everything planned fresh.
-func runRecoverArchStage(ctx context.Context, st *stageState) error {
-	rc := st.rec
-	a0 := rc.prior.Architecture
-	archOpts := arch.Options{
-		Strategy:       st.opts.Placement,
-		ModelIO:        st.opts.ModelIO,
-		FixedPlacement: append([]arch.NodeID(nil), a0.DevicePos...),
-		PinnedRoutes:   rc.prefix.Routes,
-	}
-	switch rc.fault.Kind {
-	case sim.FaultChannel:
-		archOpts.ForbiddenEdges = []arch.EdgeID{rc.fault.Edge}
-	case sim.FaultStorage:
-		archOpts.ForbiddenStorage = []arch.EdgeID{rc.fault.Edge}
-	}
-	var err error
-	st.res.Architecture, err = arch.SynthesizeContext(ctx, st.res.Schedule, a0.Grid, archOpts)
-	return err
-}
-
-// runRecoverVerifyStage replays the faulted execution end to end: the full
-// invariant suite on the recovered result plus the splice-point guarantees
-// (prefix preserved verbatim, suffix floored at the fault, masks honored,
-// devices unmoved).
-func runRecoverVerifyStage(ctx context.Context, st *stageState) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	rc := st.rec
-	if _, err := verify.CheckRecovery(rc.prior.Schedule, rc.prior.Architecture,
-		st.res.Schedule, st.res.Architecture, rc.fault); err != nil {
-		return err
-	}
-	st.res.Verified = true
-	return nil
 }

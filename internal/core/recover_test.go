@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"flowsyn/internal/arch"
 	"flowsyn/internal/assay"
 	"flowsyn/internal/sim"
+	"flowsyn/internal/storage"
+	"flowsyn/internal/verify"
 )
 
 // recoverFixture synthesizes the named benchmark with the heuristic engine
@@ -33,7 +37,7 @@ func TestRecoverDeviceFault(t *testing.T) {
 	prior, opts := recoverFixture(t, "CPA")
 	opts.Verify = true
 	fault := sim.Fault{Kind: sim.FaultDevice, Time: prior.Schedule.Makespan / 2, Device: 0}
-	rec, err := Recover(opts, prior, fault)
+	rec, err := RecoverContext(context.Background(), opts, prior, fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +94,7 @@ func TestRecoverChannelAndStorageFaults(t *testing.T) {
 	}
 	for _, kind := range []sim.FaultKind{sim.FaultChannel, sim.FaultStorage} {
 		fault := sim.Fault{Kind: kind, Time: prior.Schedule.Makespan / 3, Edge: edge}
-		rec, err := Recover(opts, prior, fault)
+		rec, err := RecoverContext(context.Background(), opts, prior, fault)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -120,7 +124,7 @@ func TestRecoverExactEngine(t *testing.T) {
 	}
 	fault := sim.Fault{Kind: sim.FaultStorage, Time: prior.Schedule.Makespan / 2,
 		Edge: prior.Architecture.UsedEdges[0]}
-	rec, err := Recover(opts, prior, fault)
+	rec, err := RecoverContext(context.Background(), opts, prior, fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +145,7 @@ func TestRecoverFaultAtZeroAndAfterEnd(t *testing.T) {
 	prior, opts := recoverFixture(t, "CPA")
 	opts.Verify = true
 	// Fault at t=0: nothing executed, full re-synthesis on the masked chip.
-	rec, err := Recover(opts, prior, sim.Fault{Kind: sim.FaultDevice, Time: 0, Device: prior.Schedule.Devices - 1})
+	rec, err := RecoverContext(context.Background(), opts, prior, sim.Fault{Kind: sim.FaultDevice, Time: 0, Device: prior.Schedule.Devices - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +160,7 @@ func TestRecoverFaultAtZeroAndAfterEnd(t *testing.T) {
 	// Fault after the last start: the whole plan is pinned; recovery is the
 	// prior plan plus re-derived I/O routing.
 	late := sim.Fault{Kind: sim.FaultDevice, Time: prior.Schedule.Makespan + 1, Device: 0}
-	rec, err = Recover(opts, prior, late)
+	rec, err = RecoverContext(context.Background(), opts, prior, late)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,16 +175,78 @@ func TestRecoverFaultAtZeroAndAfterEnd(t *testing.T) {
 
 func TestRecoverRejectsBadInputs(t *testing.T) {
 	prior, opts := recoverFixture(t, "PCR")
-	if _, err := Recover(opts, nil, sim.Fault{}); err == nil {
+	if _, err := RecoverContext(context.Background(), opts, nil, sim.Fault{}); err == nil {
 		t.Error("nil prior accepted")
 	}
-	if _, err := Recover(opts, prior, sim.Fault{Kind: sim.FaultDevice, Time: -1}); err == nil {
+	if _, err := RecoverContext(context.Background(), opts, prior, sim.Fault{Kind: sim.FaultDevice, Time: -1}); err == nil {
 		t.Error("negative fault time accepted")
 	}
-	if _, err := Recover(opts, prior, sim.Fault{Kind: sim.FaultDevice, Device: 99}); err == nil {
+	if _, err := RecoverContext(context.Background(), opts, prior, sim.Fault{Kind: sim.FaultDevice, Device: 99}); err == nil {
 		t.Error("out-of-range device accepted")
 	}
-	if _, err := Recover(opts, prior, sim.Fault{Kind: sim.FaultChannel, Edge: arch.EdgeID(1 << 20)}); err == nil {
+	if _, err := RecoverContext(context.Background(), opts, prior, sim.Fault{Kind: sim.FaultChannel, Edge: arch.EdgeID(1 << 20)}); err == nil {
 		t.Error("out-of-range edge accepted")
+	}
+}
+
+// TestRecoverVerifyChecksStrategy guards the strategy invariants of recovered
+// plans: the recovery verify stage checks a spliced plan against the storage
+// strategy it runs under, so a plan that parks more fluids in channel
+// segments than the hybrid cache has slots fails verification.
+func TestRecoverVerifyChecksStrategy(t *testing.T) {
+	b := assay.MustGet("CPA")
+	opts := Options{
+		Devices:   b.Devices,
+		Transport: b.Transport,
+		GridRows:  b.GridRows,
+		GridCols:  b.GridCols,
+		ModelIO:   b.ModelIO,
+		Engine:    Heuristic,
+		Storage:   storage.Config{Policy: storage.Hybrid, CacheSlots: 3},
+		Verify:    true,
+	}
+	prior, err := Synthesize(b.Graph, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := sim.Fault{Kind: sim.FaultDevice, Time: prior.Schedule.Makespan / 2, Device: 0}
+	ctx := context.Background()
+	rec, err := RecoverContext(ctx, opts, prior, fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Verified {
+		t.Fatal("recovered hybrid plan not verified")
+	}
+
+	// The recovered plan caches two fluids in channel segments at once, one
+	// more than a single-slot cache holds.
+	tight := storage.Config{Policy: storage.Hybrid, CacheSlots: 1}
+	if verify.CheckStrategy(rec.Schedule, storage.New(tight)).Err() == nil {
+		t.Fatal("fixture no longer exceeds a one-slot cache")
+	}
+	wantStrategyViolation := func(err error) {
+		t.Helper()
+		var verr *verify.Error
+		if !errors.As(err, &verr) {
+			t.Fatalf("got %v, want a *verify.Error", err)
+		}
+		for _, v := range verr.Violations {
+			if v.Invariant == verify.InvStorageStrategy {
+				return
+			}
+		}
+		t.Errorf("no %s violation in %v", verify.InvStorageStrategy, verr)
+	}
+	_, err = verify.CheckRecovery(prior.Schedule, prior.Architecture,
+		rec.Schedule, rec.Architecture, fault, storage.New(tight))
+	wantStrategyViolation(err)
+
+	// The pipeline's verify stage checks the strategy the result records.
+	rec.Storage = tight
+	st := &stageState{opts: opts, res: rec, rec: &recoverState{prior: prior, fault: fault}}
+	wantStrategyViolation(runVerifyStage(ctx, st))
+	if rec.Verified {
+		t.Error("result still marked verified after a strategy violation")
 	}
 }

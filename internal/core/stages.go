@@ -9,7 +9,9 @@ import (
 	"flowsyn/internal/phys"
 	"flowsyn/internal/sched"
 	"flowsyn/internal/seqgraph"
+	"flowsyn/internal/sim"
 	"flowsyn/internal/storage"
+	"flowsyn/internal/verify"
 )
 
 // Stage names, in pipeline order.
@@ -64,8 +66,10 @@ type stageState struct {
 	// stage installs it instead of running an engine (the service layer's
 	// schedule-cache path).
 	pre *preSchedule
-	// rec, when non-nil, marks an online re-synthesis: the recovery stages
-	// (recover.go) read the prior result, fault and executed prefix from it.
+	// rec, when non-nil, marks an online re-synthesis (RecoverContext): the
+	// schedule stage honors its pin, the arch stage keeps the prior placement
+	// and executed routes and masks the fault, and the verify stage replays
+	// the faulted execution end to end.
 	rec *recoverState
 }
 
@@ -100,7 +104,8 @@ func pipeline(opts Options) []stage {
 // runScheduleStage schedules and binds the assay with the selected engine.
 // The Auto engine races the exact ILP against the list scheduler (portfolio
 // mode) at sizes where the ILP is worth attempting, instead of the former
-// sequential try-ILP-then-fall-back pass.
+// sequential try-ILP-then-fall-back pass. Under recovery every engine honors
+// the prefix pin.
 func runScheduleStage(ctx context.Context, st *stageState) error {
 	if st.pre != nil {
 		st.res.Schedule, st.res.SchedInfo = st.pre.s, st.pre.info
@@ -108,6 +113,10 @@ func runScheduleStage(ctx context.Context, st *stageState) error {
 	}
 	opts := st.opts
 	g := st.graph
+	var pin *sched.Pin
+	if st.rec != nil {
+		pin = st.rec.pin
+	}
 	beta := 0.0 // 0 means default (storage-aware) inside ILPOptions
 	if opts.Mode == sched.TimeOnly {
 		beta = -1 // disables the storage term
@@ -120,9 +129,10 @@ func runScheduleStage(ctx context.Context, st *stageState) error {
 		TimeLimit: opts.ILPTimeLimit,
 		WarmStart: true,
 		Warm:      opts.Warm,
+		Pin:       pin,
 		Storage:   model,
+		Progress:  scheduleProgress(opts),
 	}
-	ilpOpts.Progress = scheduleProgress(opts)
 	switch {
 	case opts.Engine == ExactILP:
 		s, info, err := sched.ILPScheduleContext(ctx, g, ilpOpts)
@@ -141,16 +151,18 @@ func runScheduleStage(ctx context.Context, st *stageState) error {
 			Devices:   opts.Devices,
 			Transport: opts.Transport,
 			Mode:      opts.Mode,
+			Pin:       pin,
 			Storage:   model,
 		})
 		if err != nil {
 			return err
 		}
-		// Incremental re-synthesis on the heuristic path: a prior schedule,
-		// re-timed on the current graph, replaces the list result when it
-		// scores better on the configured objective.
+		// Incremental re-synthesis and recovery on the heuristic path: a
+		// prior schedule, re-timed on the current graph (around the pin),
+		// replaces the list result when it scores better on the configured
+		// objective.
 		if opts.Warm != nil {
-			if ws, werr := sched.RetimeLikeWith(g, opts.Warm, opts.Devices, opts.Transport, model); werr == nil {
+			if ws, werr := sched.Retime(g, opts.Warm, opts.Devices, opts.Transport, pin, model); werr == nil {
 				if sched.ObjectiveScore(ws, opts.Mode) < sched.ObjectiveScore(s, opts.Mode) {
 					s = ws
 				}
@@ -228,15 +240,30 @@ func runBindStage(_ context.Context, st *stageState) error {
 }
 
 // runArchStage synthesizes the chip architecture on the connection grid.
+// Under recovery it re-routes on the prior chip: placement is fixed to the
+// prior device positions, the executed internal routes are re-installed
+// verbatim (shielded from rip-up), and the failed resource is masked from
+// everything planned fresh.
 func runArchStage(ctx context.Context, st *stageState) error {
 	grid, err := arch.NewGrid(st.opts.GridRows, st.opts.GridCols)
 	if err != nil {
 		return err
 	}
-	st.res.Architecture, err = arch.SynthesizeContext(ctx, st.res.Schedule, grid, arch.Options{
+	archOpts := arch.Options{
 		Strategy: st.opts.Placement,
 		ModelIO:  st.opts.ModelIO,
-	})
+	}
+	if rc := st.rec; rc != nil {
+		archOpts.FixedPlacement = append([]arch.NodeID(nil), rc.prior.Architecture.DevicePos...)
+		archOpts.PinnedRoutes = rc.prefix.Routes
+		switch rc.fault.Kind {
+		case sim.FaultChannel:
+			archOpts.ForbiddenEdges = []arch.EdgeID{rc.fault.Edge}
+		case sim.FaultStorage:
+			archOpts.ForbiddenStorage = []arch.EdgeID{rc.fault.Edge}
+		}
+	}
+	st.res.Architecture, err = arch.SynthesizeContext(ctx, st.res.Schedule, grid, archOpts)
 	return err
 }
 
@@ -251,12 +278,21 @@ func runPhysStage(ctx context.Context, st *stageState) error {
 }
 
 // runVerifyStage re-derives the correctness of the finished result from
-// first principles, independently of the engines that produced it.
+// first principles, independently of the engines that produced it. Under
+// recovery it replays the faulted execution end to end instead: the same
+// invariant suite on the recovered result plus the splice-point guarantees
+// (prefix preserved verbatim, suffix floored at the fault, masks honored,
+// devices unmoved).
 func runVerifyStage(ctx context.Context, st *stageState) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return st.res.Verify()
+	res, rc := st.res, st.rec
+	if rc == nil {
+		return res.Verify()
+	}
+	return res.crossCheck(verify.CheckRecovery(rc.prior.Schedule, rc.prior.Architecture,
+		res.Schedule, res.Architecture, rc.fault, storage.New(res.Storage)))
 }
 
 // SynthesizeContext runs the full staged flow — Schedule, Bind, Arch, Phys —
@@ -287,15 +323,14 @@ func synthesize(ctx context.Context, g *seqgraph.Graph, opts Options, pre *preSc
 		return nil, err
 	}
 	st := &stageState{graph: g, opts: opts, res: &Result{Storage: opts.Storage}, pre: pre}
-	return runPipeline(ctx, pipeline(opts), st)
+	return st.run(ctx)
 }
 
-// runPipeline drives a stage list over the shared state, recording per-stage
-// wall-clock and emitting the stage progress events. It is shared between the
-// ordinary synthesis flow and the online recovery flow.
-func runPipeline(ctx context.Context, stages []stage, st *stageState) (*Result, error) {
+// run drives the pipeline over the shared state, recording per-stage
+// wall-clock and emitting the stage progress events.
+func (st *stageState) run(ctx context.Context) (*Result, error) {
 	opts := st.opts
-	for _, sg := range stages {
+	for _, sg := range pipeline(opts) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -47,7 +47,7 @@ type ILPOptions struct {
 	WarmStart bool
 	// Warm, if non-nil, is a prior schedule of this assay — possibly of an
 	// edited version of it. Its device binding and per-device order are
-	// re-timed on the current graph (RetimeLike) and the result, when it
+	// re-timed on the current graph (Retime) and the result, when it
 	// beats the list-scheduler incumbent on the objective, seeds the solve
 	// instead: the incremental re-synthesis hook of the service layer.
 	Warm *Schedule
@@ -189,13 +189,7 @@ func ILPScheduleContext(ctx context.Context, g *seqgraph.Graph, opts ILPOptions)
 		return alpha*float64(s.Makespan) + beta*float64(s.StorageTime())
 	}
 	if opts.Warm != nil {
-		var ws *Schedule
-		var werr error
-		if opts.Pin != nil {
-			ws, werr = RetimePinnedWith(g, opts.Warm, opts.Pin, opts.Devices, opts.Transport, opts.Storage)
-		} else {
-			ws, werr = RetimeLikeWith(g, opts.Warm, opts.Devices, opts.Transport, opts.Storage)
-		}
+		ws, werr := Retime(g, opts.Warm, opts.Devices, opts.Transport, opts.Pin, opts.Storage)
 		if werr == nil && score(ws) < score(incumbent) {
 			incumbent = ws
 		}
@@ -985,99 +979,5 @@ func reconstruct(g *seqgraph.Graph, opts ILPOptions, sol *milp.Solution,
 		}
 		return ids[a] < ids[b]
 	})
-	return retimePinned(g, opts.Devices, opts.Transport, binding, ids, opts.Pin, opts.Storage)
-}
-
-// RetimeLike re-schedules g by reusing a prior schedule's device binding and
-// execution order wherever an operation (matched by name) still exists: the
-// unchanged part of an edited assay keeps its proven binding, while edited or
-// new operations are appended after it, bound to a parent's device when one
-// is known. Timing is re-derived from scratch with the exact transport
-// semantics, so the result is valid for the current graph whatever was edited
-// — durations, dependencies, additions and removals included.
-//
-// This is the incremental re-synthesis primitive: the service layer feeds the
-// result back into the exact solve as a warm start (ILPOptions.Warm) or
-// races it against the list scheduler for heuristic engines.
-func RetimeLike(g *seqgraph.Graph, prior *Schedule, devices, transport int) (*Schedule, error) {
-	return RetimeLikeWith(g, prior, devices, transport, nil)
-}
-
-// RetimeLikeWith is RetimeLike under a storage model: the re-derived timing
-// routes stored fluids per the model, so the result is feasible for that
-// strategy. A nil model is the distributed behavior.
-func RetimeLikeWith(g *seqgraph.Graph, prior *Schedule, devices, transport int, storage StorageModel) (*Schedule, error) {
-	if devices < 1 {
-		return nil, fmt.Errorf("sched: need at least one device, got %d", devices)
-	}
-	if transport < 1 {
-		return nil, fmt.Errorf("sched: transport time must be >= 1, got %d", transport)
-	}
-	topo, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	priorByName := make(map[string]Assignment, len(prior.Assignments))
-	for _, a := range prior.Assignments {
-		priorByName[prior.Graph.Op(a.Op).Name] = a
-	}
-	n := g.NumOps()
-	binding := make([]int, n)
-	prio := make([]int, n)
-	known := make([]bool, n)
-	maxPrio := 0
-	for i := 0; i < n; i++ {
-		if pa, ok := priorByName[g.Op(seqgraph.OpID(i)).Name]; ok && pa.Device < devices {
-			binding[i], prio[i], known[i] = pa.Device, pa.Start, true
-			if pa.Start > maxPrio {
-				maxPrio = pa.Start
-			}
-		}
-	}
-	// New or re-deviced operations: schedule after the reused prefix, on a
-	// parent's device when one is bound (avoiding a gratuitous transport),
-	// else spread round-robin.
-	next := 0
-	for _, id := range topo {
-		i := int(id)
-		if known[i] {
-			continue
-		}
-		prio[i] = maxPrio + 1
-		binding[i] = -1
-		for _, p := range g.Parents(id) {
-			if binding[p] >= 0 {
-				binding[i] = binding[p]
-				break
-			}
-		}
-		if binding[i] < 0 {
-			binding[i] = next % devices
-			next++
-		}
-	}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if prio[ids[a]] != prio[ids[b]] {
-			return prio[ids[a]] < prio[ids[b]]
-		}
-		return ids[a] < ids[b]
-	})
-	s := retimeOrdered(g, devices, transport, binding, ids, storage)
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("sched: retimed schedule invalid: %w", err)
-	}
-	return s, nil
-}
-
-// retimeOrdered greedily re-times a complete device binding along a global
-// priority order with the exact transport semantics (direct pass, flush,
-// fetch slots) shared with the list scheduler. Operations are placed
-// first-ready-first along ids, so any order is safe even when it interleaves
-// devices non-topologically. It is the unpinned face of retimePinned.
-func retimeOrdered(g *seqgraph.Graph, devices, transport int, binding []int, ids []int, storage StorageModel) *Schedule {
-	return retimePinned(g, devices, transport, binding, ids, nil, storage)
+	return retimeBinding(g, opts.Devices, opts.Transport, binding, ids, opts.Pin, opts.Storage)
 }

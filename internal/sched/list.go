@@ -103,119 +103,27 @@ func ListScheduleContext(ctx context.Context, g *seqgraph.Graph, opts ListOption
 		prio[id] = best + g.Op(id).Duration
 	}
 
-	outLen := (opts.Transport + 1) / 2
-	fetchLen := opts.Transport - outLen
-
-	s := &Schedule{
-		Graph:         g,
-		Devices:       opts.Devices,
-		Transport:     opts.Transport,
-		Assignments:   make([]Assignment, g.NumOps()),
-		DepartOffsets: make(map[seqgraph.Edge]int),
-	}
-	// nextDepart[p] is the absolute instant the next sub-sample may leave
-	// p's device: p's end, then one move-out slot later per transported
-	// consumer already placed. The recorded offset is nextDepart − end,
-	// which reduces to the classic k·u_c ladder when nothing is pinned.
-	nextDepart := make([]int, g.NumOps())
-	scheduled := make([]bool, g.NumOps())
-
-	deviceFree := make([]int, opts.Devices)
-	lastOp := make([]seqgraph.OpID, opts.Devices)
-	for d := range lastOp {
-		lastOp[d] = -1
-	}
-
-	st := newStorageState(opts.Storage, opts.Transport)
-
-	floor, pinnedCount := 0, 0
+	pinnedCount := 0
 	if opts.Pin != nil {
 		if err := opts.Pin.Validate(g, opts.Devices); err != nil {
 			return nil, err
 		}
-		floor = opts.Pin.Time
 		pinnedCount = len(opts.Pin.Assignments)
-		opts.Pin.seed(s, scheduled, nextDepart, deviceFree, lastOp, opts.Transport)
-		if st.active() {
-			for e, w := range opts.Pin.UnitWindows {
-				st.seedUnit(e, w)
-			}
-		}
 	}
+	pl := newPlacer(g, opts.Devices, opts.Transport, opts.Pin, opts.Storage)
+	s := pl.s
 
 	remainingParents := make([]int, g.NumOps())
 	for _, e := range g.Edges() {
-		if !scheduled[e.Parent] {
+		if !pl.done[e.Parent] {
 			remainingParents[e.Child]++
 		}
 	}
 	var ready []seqgraph.OpID
-	for id := range scheduled {
-		if !scheduled[id] && remainingParents[id] == 0 {
+	for id, done := range pl.done {
+		if !done && remainingParents[id] == 0 {
 			ready = append(ready, seqgraph.OpID(id))
 		}
-	}
-
-	// place computes the earliest start of op on device k and the number of
-	// cached inputs that need a fetch slot there. With commit set it also
-	// books the storage-side state (unit port windows, channel residents)
-	// under the storage model; estimates only peek. For the distributed
-	// model both paths reduce to the historical arithmetic.
-	place := func(op seqgraph.OpID, k int, commit bool) (start, fetches int) {
-		start = deviceFree[k]
-		last := lastOp[k]
-		directPassParent := seqgraph.OpID(-1)
-		if last >= 0 {
-			for _, p := range g.Parents(op) {
-				if p == last {
-					directPassParent = p
-					break
-				}
-			}
-			if directPassParent < 0 {
-				// The previous result must be flushed out of the device.
-				if v := s.Assignments[last].End + outLen; v > start {
-					start = v
-				}
-			}
-		}
-		if start < floor {
-			// Recovery: nothing re-planned starts before the fault instant.
-			start = floor
-		}
-		maxArrival := 0
-		var plans []parentPlan
-		for _, p := range g.Parents(op) {
-			pa := s.Assignments[p]
-			arrival := pa.End
-			if p != directPassParent {
-				// The sub-sample departs after the parent's earlier
-				// consumers (serialized fan-out), then travels u_c — or, on
-				// the unit path, waits for the port's store+fetch grants.
-				plan := st.planParent(seqgraph.Edge{Parent: p, Child: op}, nextDepart[p], start)
-				if commit {
-					plan = st.commitParent(plan, start)
-				}
-				arrival = plan.arrival
-				if !plan.unit {
-					fetches++
-				}
-				if commit {
-					plans = append(plans, plan)
-				}
-			}
-			if arrival > maxArrival {
-				maxArrival = arrival
-			}
-		}
-		start += fetches * fetchLen
-		if maxArrival > start {
-			start = maxArrival
-		}
-		if commit {
-			start = st.commitResidents(plans, start)
-		}
-		return start, fetches
 	}
 
 	freshness := func(op seqgraph.OpID) int {
@@ -263,7 +171,7 @@ func ListScheduleContext(ctx context.Context, g *seqgraph.Graph, opts ListOption
 			if opts.Pin != nil && opts.Pin.Forbidden[k] {
 				continue
 			}
-			est, fe := place(op, k, false)
+			est, fe := pl.place(op, k, false)
 			score := est
 			if opts.Mode == TimeAndStorage {
 				score = est + fe*opts.Transport
@@ -272,31 +180,7 @@ func ListScheduleContext(ctx context.Context, g *seqgraph.Graph, opts ListOption
 				bestDev, bestScore = k, score
 			}
 		}
-		bestStart, _ := place(op, bestDev, true)
-
-		dur := g.Op(op).Duration
-		s.Assignments[op] = Assignment{Op: op, Device: bestDev, Start: bestStart, End: bestStart + dur}
-		scheduled[op] = true
-		deviceFree[bestDev] = bestStart + dur
-		nextDepart[op] = bestStart + dur
-		// Record this op's departure slots from its parents.
-		directPass := seqgraph.OpID(-1)
-		if last := lastOp[bestDev]; last >= 0 {
-			for _, p := range g.Parents(op) {
-				if p == last {
-					directPass = p
-					break
-				}
-			}
-		}
-		for _, p := range g.Parents(op) {
-			if p == directPass {
-				continue
-			}
-			s.DepartOffsets[seqgraph.Edge{Parent: p, Child: op}] = nextDepart[p] - s.Assignments[p].End
-			nextDepart[p] += opts.Transport
-		}
-		lastOp[bestDev] = op
+		pl.commit(op, bestDev)
 		for _, c := range g.Children(op) {
 			remainingParents[c]--
 			if remainingParents[c] == 0 {
@@ -305,16 +189,7 @@ func ListScheduleContext(ctx context.Context, g *seqgraph.Graph, opts ListOption
 		}
 	}
 
-	st.install(s)
-	s.computeMakespan()
-	// Push operations late to shrink storage lifetimes (the heuristic
-	// counterpart of the paper's β·Σu objective term). Compacting would move
-	// pinned windows, so recovery schedules keep the greedy placement.
-	// Strategy schedules keep theirs too: delaying a producer would slide
-	// past its already-granted unit store window.
-	if opts.Pin == nil && !st.active() {
-		Compact(s)
-	}
+	pl.finish()
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: list scheduler produced invalid schedule: %w", err)
 	}

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"flowsyn/internal/seqgraph"
 )
@@ -111,256 +110,4 @@ func (p *Pin) Validate(g *seqgraph.Graph, devices int) error {
 		return fmt.Errorf("sched: pin forbids all %d devices", devices)
 	}
 	return nil
-}
-
-// seed installs the pinned prefix into a schedule under construction and
-// initializes the scheduler state around it: done flags, per-device frontiers
-// (free time and last-executed op), and the next departure instant per pinned
-// producer — floored at the pin time, since any re-planned sample leaves its
-// device only after the fault was detected.
-func (p *Pin) seed(s *Schedule, done []bool, nextDepart, deviceFree []int, lastOp []seqgraph.OpID, transport int) {
-	lastStart := make([]int, len(deviceFree))
-	for d := range lastStart {
-		lastStart[d] = -1
-	}
-	for _, a := range p.Assignments {
-		s.Assignments[a.Op] = a
-		done[a.Op] = true
-		nextDepart[a.Op] = a.End
-		if a.End > deviceFree[a.Device] {
-			deviceFree[a.Device] = a.End
-		}
-		if a.Start > lastStart[a.Device] {
-			lastStart[a.Device] = a.Start
-			lastOp[a.Device] = a.Op
-		}
-	}
-	for e, off := range p.DepartOffsets {
-		s.DepartOffsets[e] = off
-		// The slot after this preserved departure completes.
-		if v := s.Assignments[e.Parent].End + off + transport; v > nextDepart[e.Parent] {
-			nextDepart[e.Parent] = v
-		}
-	}
-	for _, a := range p.Assignments {
-		if nextDepart[a.Op] < p.Time {
-			nextDepart[a.Op] = p.Time
-		}
-	}
-}
-
-// RetimePinned re-times a prior schedule of g around a pinned prefix: pinned
-// operations keep their windows and devices verbatim, every other operation
-// keeps its prior device (unless that device is now forbidden — then it moves
-// to a parent's allowed device, or round-robin over the allowed set) and its
-// prior relative order, with timing re-derived from scratch under the exact
-// transport semantics. This is the recovery counterpart of RetimeLike: the
-// prior plan's proven structure survives the fault wherever it legally can.
-func RetimePinned(g *seqgraph.Graph, prior *Schedule, pin *Pin, devices, transport int) (*Schedule, error) {
-	return RetimePinnedWith(g, prior, pin, devices, transport, nil)
-}
-
-// RetimePinnedWith is RetimePinned under a storage model: the re-derived
-// timing routes stored fluids per the model (unit port grants, bounded
-// channel cache), so the result is feasible for that strategy. A nil model
-// is the distributed behavior.
-func RetimePinnedWith(g *seqgraph.Graph, prior *Schedule, pin *Pin, devices, transport int, storage StorageModel) (*Schedule, error) {
-	if devices < 1 {
-		return nil, fmt.Errorf("sched: need at least one device, got %d", devices)
-	}
-	if transport < 1 {
-		return nil, fmt.Errorf("sched: transport time must be >= 1, got %d", transport)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := pin.Validate(g, devices); err != nil {
-		return nil, err
-	}
-	n := g.NumOps()
-	if len(prior.Assignments) != n {
-		return nil, fmt.Errorf("sched: prior schedule has %d assignments for %d operations",
-			len(prior.Assignments), n)
-	}
-	var allowed []int
-	for k := 0; k < devices; k++ {
-		if !pin.Forbidden[k] {
-			allowed = append(allowed, k)
-		}
-	}
-	isPinned := pin.pinned(n)
-	binding := make([]int, n)
-	var ids []int
-	next := 0
-	for i := 0; i < n; i++ {
-		if isPinned[i] {
-			binding[i] = prior.Assignments[i].Device
-			continue
-		}
-		ids = append(ids, i)
-		d := prior.Assignments[i].Device
-		if d >= 0 && d < devices && !pin.Forbidden[d] {
-			binding[i] = d
-			continue
-		}
-		// Evicted from a failed device: prefer a parent's surviving device
-		// (saves a transport), else spread over the allowed set.
-		binding[i] = -1
-		for _, p := range g.Parents(seqgraph.OpID(i)) {
-			pd := prior.Assignments[p].Device
-			if pd >= 0 && pd < devices && !pin.Forbidden[pd] {
-				binding[i] = pd
-				break
-			}
-		}
-		if binding[i] < 0 {
-			binding[i] = allowed[next%len(allowed)]
-			next++
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		sa, sb := prior.Assignments[ids[a]].Start, prior.Assignments[ids[b]].Start
-		if sa != sb {
-			return sa < sb
-		}
-		return ids[a] < ids[b]
-	})
-	s := retimePinned(g, devices, transport, binding, ids, pin, storage)
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("sched: pinned retime invalid: %w", err)
-	}
-	return s, nil
-}
-
-// retimePinned greedily re-times a complete device binding along a global
-// priority order with the exact transport semantics (direct pass, flush,
-// fetch slots) shared with the list scheduler. Operations are placed
-// first-ready-first along ids, so any order is safe even when it interleaves
-// devices non-topologically. With a non-nil pin, the pinned prefix is
-// installed verbatim first, ids must cover exactly the unpinned operations,
-// and every placement (and departure) is floored at the pin time. With a
-// non-distributed storage model, stored fluids are routed per the model
-// (unit port grants, bounded channel cache) so the result is
-// strategy-feasible — this is what makes ILP reconstruction and warm-start
-// retiming honor the strategy.
-func retimePinned(g *seqgraph.Graph, devices, transport int, binding []int, ids []int, pin *Pin, storage StorageModel) *Schedule {
-	n := g.NumOps()
-	outLen := (transport + 1) / 2
-	fetchLen := transport - outLen
-	s := &Schedule{
-		Graph:         g,
-		Devices:       devices,
-		Transport:     transport,
-		Assignments:   make([]Assignment, n),
-		DepartOffsets: make(map[seqgraph.Edge]int),
-	}
-	// nextDepart[p] is the absolute instant the next sub-sample may leave p's
-	// device: p's end, then one move-out slot later per transported consumer
-	// already placed (the serialized fan-out the paper's channel exclusivity
-	// forces). The recorded offset is nextDepart − end, which reduces to the
-	// classic k·u_c ladder when nothing is pinned.
-	nextDepart := make([]int, n)
-	deviceFree := make([]int, devices)
-	lastOp := make([]seqgraph.OpID, devices)
-	for d := range lastOp {
-		lastOp[d] = -1
-	}
-	done := make([]bool, n)
-	st := newStorageState(storage, transport)
-	floor := 0
-	if pin != nil {
-		floor = pin.Time
-		pin.seed(s, done, nextDepart, deviceFree, lastOp, transport)
-		if st.active() {
-			for e, w := range pin.UnitWindows {
-				st.seedUnit(e, w)
-			}
-		}
-	}
-	pending := append([]int(nil), ids...)
-	for len(pending) > 0 {
-		// Pick the first pending op whose parents are all placed (the ILP
-		// order is topological on each device but the global order may
-		// interleave; this keeps reconstruction safe).
-		pick := -1
-		for idx, op := range pending {
-			ok := true
-			for _, p := range g.Parents(seqgraph.OpID(op)) {
-				if !done[p] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				pick = idx
-				break
-			}
-		}
-		op := pending[pick]
-		pending = append(pending[:pick], pending[pick+1:]...)
-
-		k := binding[op]
-		start := deviceFree[k]
-		direct := seqgraph.OpID(-1)
-		if lastOp[k] >= 0 {
-			for _, p := range g.Parents(seqgraph.OpID(op)) {
-				if p == lastOp[k] {
-					direct = p
-					break
-				}
-			}
-			if direct < 0 {
-				if v := s.Assignments[lastOp[k]].End + outLen; v > start {
-					start = v
-				}
-			}
-		}
-		if start < floor {
-			start = floor
-		}
-		fetches, maxArr := 0, 0
-		var plans []parentPlan
-		for _, p := range g.Parents(seqgraph.OpID(op)) {
-			arr := s.Assignments[p].End
-			if p != direct {
-				plan := st.planParent(seqgraph.Edge{Parent: p, Child: seqgraph.OpID(op)}, nextDepart[p], start)
-				plan = st.commitParent(plan, start)
-				arr = plan.arrival
-				if !plan.unit {
-					fetches++
-				}
-				plans = append(plans, plan)
-			}
-			if arr > maxArr {
-				maxArr = arr
-			}
-		}
-		start += fetches * fetchLen
-		if maxArr > start {
-			start = maxArr
-		}
-		start = st.commitResidents(plans, start)
-		dur := g.Op(seqgraph.OpID(op)).Duration
-		s.Assignments[op] = Assignment{Op: seqgraph.OpID(op), Device: k, Start: start, End: start + dur}
-		deviceFree[k] = start + dur
-		nextDepart[op] = start + dur
-		for _, p := range g.Parents(seqgraph.OpID(op)) {
-			if p == direct {
-				continue
-			}
-			s.DepartOffsets[seqgraph.Edge{Parent: p, Child: seqgraph.OpID(op)}] = nextDepart[p] - s.Assignments[p].End
-			nextDepart[p] += transport
-		}
-		lastOp[k] = seqgraph.OpID(op)
-		done[op] = true
-	}
-	st.install(s)
-	s.computeMakespan()
-	if pin == nil && !st.active() {
-		// Compacting would move pinned windows (or slide producers past
-		// their granted unit store windows); recovery and strategy
-		// schedules keep the greedy placement instead.
-		Compact(s)
-	}
-	return s
 }

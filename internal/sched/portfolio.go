@@ -50,7 +50,7 @@ func PortfolioSchedule(ctx context.Context, g *seqgraph.Graph, opts ILPOptions) 
 	go func() {
 		s, err := ListScheduleContext(ctx, g, ListOptions{
 			Devices: opts.Devices, Transport: opts.Transport, Mode: mode,
-			Storage: opts.Storage,
+			Pin: opts.Pin, Storage: opts.Storage,
 		})
 		listCh <- listOut{s, err}
 	}()

@@ -29,7 +29,7 @@ func TestRetimeLikeReusesBinding(t *testing.T) {
 	}
 
 	// Same graph: the retimed schedule must be valid and keep the binding.
-	same, err := RetimeLike(g, prior, 2, 10)
+	same, err := Retime(g, prior, 2, 10, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRetimeLikeReusesBinding(t *testing.T) {
 
 	// Edited durations: still valid, binding reused for matching names.
 	edited := chainAssay(55, 20)
-	re, err := RetimeLike(edited, prior, 2, 10)
+	re, err := Retime(edited, prior, 2, 10, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRetimeLikeReusesBinding(t *testing.T) {
 	grown := chainAssay(30, 20)
 	e := grown.MustAddOperation("e", seqgraph.Heat, 25, 0)
 	grown.MustAddDependency(3, e)
-	re2, err := RetimeLike(grown, prior, 2, 10)
+	re2, err := Retime(grown, prior, 2, 10, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRetimeLikeReusesBinding(t *testing.T) {
 
 	// Fewer devices than the prior schedule used: bindings above the budget
 	// are reassigned, result still valid.
-	shrunk, err := RetimeLike(g, prior, 1, 10)
+	shrunk, err := Retime(g, prior, 1, 10, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,10 @@ func TestRetimeLikeReusesBinding(t *testing.T) {
 		t.Errorf("devices = %d, want 1", shrunk.Devices)
 	}
 
-	if _, err := RetimeLike(g, prior, 0, 10); err == nil {
+	if _, err := Retime(g, prior, 0, 10, nil, nil); err == nil {
 		t.Error("zero devices accepted")
 	}
-	if _, err := RetimeLike(g, prior, 2, 0); err == nil {
+	if _, err := Retime(g, prior, 2, 0, nil, nil); err == nil {
 		t.Error("zero transport accepted")
 	}
 }

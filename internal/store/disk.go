@@ -119,47 +119,58 @@ func atomicWrite(path string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	tmp, err := writeTemp(dir, data)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	return nil
 }
 
-// Claim implements Store. The lease file is created O_EXCL, so exactly one
-// replica wins a cold key; an expired lease (crashed claimant) is stolen by
-// removing it and retrying once.
+// writeTemp writes data to a fresh temp file in dir and returns its path.
+func writeTemp(dir string, data []byte) (string, error) {
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return "", err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return "", err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return "", err
+	}
+	return tmp.Name(), nil
+}
+
+// Claim implements Store. The lease doc is written to a temp file in the
+// shard directory and hard-linked to the lease path. The link fails when the
+// lease exists, so exactly one replica wins a cold key, and a lease file is
+// never visible without its content. An expired lease (crashed claimant) is
+// stolen by removing it and retrying once.
 func (d *Disk) Claim(key, owner string) (Lease, error) {
 	path := d.leasePath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	doc, _ := json.Marshal(leaseDoc{
+		Owner:   owner,
+		Expires: time.Now().Add(d.leaseTTL).UTC().Format(time.RFC3339Nano),
+	})
+	tmp, err := writeTemp(dir, doc)
+	if err != nil {
+		return nil, fmt.Errorf("store: write lease %s: %w", key, err)
+	}
+	defer os.Remove(tmp)
 	for attempt := 0; attempt < 2; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		err := os.Link(tmp, path)
 		if err == nil {
-			doc, _ := json.Marshal(leaseDoc{
-				Owner:   owner,
-				Expires: time.Now().Add(d.leaseTTL).UTC().Format(time.RFC3339Nano),
-			})
-			_, werr := f.Write(doc)
-			cerr := f.Close()
-			if werr != nil || cerr != nil {
-				os.Remove(path)
-				return nil, fmt.Errorf("store: write lease %s: %w", key, err)
-			}
 			l := &diskLease{path: path, owner: owner, ttl: d.leaseTTL, stop: make(chan struct{})}
 			go l.heartbeat()
 			return l, nil
@@ -167,27 +178,23 @@ func (d *Disk) Claim(key, owner string) (Lease, error) {
 		if !os.IsExist(err) {
 			return nil, err
 		}
-		if !leaseExpired(path) {
+		data, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			continue // released since the link failed: retry it
+		}
+		if err == nil && !leaseExpired(data) {
 			return nil, ErrLeaseHeld
 		}
 		// The claimant died: its heartbeat stopped and the lease passed its
-		// expiry horizon. Steal by removing and retrying the exclusive
-		// create — at most one stealer wins the O_EXCL race.
+		// expiry horizon. Steal by removing it and retrying the link.
 		os.Remove(path)
 	}
 	return nil, ErrLeaseHeld
 }
 
-// leaseExpired reports whether the lease file at path is stale: unreadable or
-// corrupt leases (a crash mid-write) count as expired, so they cannot wedge a
-// key forever.
-func leaseExpired(path string) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		// Likely released between our failed create and this read; treat as
-		// expired so the caller retries the claim.
-		return true
-	}
+// leaseExpired reports whether a lease doc is stale: corrupt leases count as
+// expired, so they cannot wedge a key forever.
+func leaseExpired(data []byte) bool {
 	var doc leaseDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return true

@@ -48,8 +48,9 @@ func routeSpanEnd(r arch.Route) int {
 
 // CheckRecovery replays a faulted execution end to end: the original plan up
 // to the fault instant, the recovered plan from it. On top of the full
-// invariant suite on the recovered result (Check + CheckSim), it re-derives
-// the splice-point guarantees from first principles:
+// invariant suite on the recovered result under the storage model it was
+// synthesized under (CheckAllStrategy; nil means distributed channel
+// storage), it re-derives the splice-point guarantees from first principles:
 //
 //   - the executed prefix (every operation started before the fault) is
 //     preserved verbatim — same device, same window, zero re-executed work —
@@ -66,8 +67,8 @@ func routeSpanEnd(r arch.Route) int {
 //
 // orig/origArch describe the faulted execution, rec/recArch the recovered
 // one. The returned report carries every violation found.
-func CheckRecovery(orig *sched.Schedule, origArch *arch.Result, rec *sched.Schedule, recArch *arch.Result, fault sim.Fault) (*Report, error) {
-	rep, _ := CheckAll(rec, recArch)
+func CheckRecovery(orig *sched.Schedule, origArch *arch.Result, rec *sched.Schedule, recArch *arch.Result, fault sim.Fault, m sched.StorageModel) (*Report, error) {
+	rep, _ := CheckAllStrategy(rec, recArch, m)
 
 	g := orig.Graph
 	if rec.Graph != g {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 )
 
 // FuzzSynthesizeVerify drives the whole pipeline with fuzzer-chosen assay
@@ -84,34 +85,61 @@ func FuzzSynthesizeVerify(f *testing.F) {
 }
 
 // FuzzRecoverVerify drives the fault-injection splice with fuzzer-chosen
-// assay shapes, fault kinds and injection instants, verification forced on.
-// A recovery may legitimately be rejected (a device fault with one device, an
-// unroutable mask) — but if it claims success, the splice-point checker
-// (verify.CheckRecovery, replaying the faulted execution end to end) must
-// accept it; a *VerifyError is always a bug.
+// assay shapes, fault kinds and injection instants, storage strategies
+// (distributed channels, dedicated unit, hybrid cache with fuzzed slot count
+// and eviction policy) and engines (heuristic, or Auto racing the exact ILP
+// against the list scheduler), verification forced on. A recovery may
+// legitimately be rejected (a device fault with one device, an unroutable
+// mask) — but if it claims success, the splice-point checker
+// (verify.CheckRecovery, replaying the faulted execution end to end under the
+// strategy's invariants) must accept it; a *VerifyError is always a bug.
 //
 // Run it as a smoke job with
 //
 //	go test -fuzz=FuzzRecoverVerify -fuzztime=30s -run='^$' .
 func FuzzRecoverVerify(f *testing.F) {
-	f.Add(int64(1), 10, 2, 3, 6, 0, 50)  // device fault mid-execution
-	f.Add(int64(42), 16, 3, 4, 5, 1, 10) // channel fault early
-	f.Add(int64(7), 8, 2, 2, 4, 2, 500)  // storage fault near/after the end
-	f.Add(int64(-3), 5, 1, 3, 4, 0, 0)   // fault at t=0: full re-synthesis
-	f.Fuzz(func(t *testing.T, seed int64, n, width, devices, grid, kind, at int) {
+	f.Add(int64(1), 10, 2, 3, 6, 0, 50, 0, 0, false)  // device fault mid-execution
+	f.Add(int64(42), 16, 3, 4, 5, 1, 10, 0, 0, false) // channel fault early
+	f.Add(int64(7), 8, 2, 2, 4, 2, 500, 0, 0, false)  // storage fault near/after the end
+	f.Add(int64(-3), 5, 1, 3, 4, 0, 0, 0, 0, false)   // fault at t=0: full re-synthesis
+	// Strategy and engine seeds: a dedicated unit and single-slot hybrid
+	// caches under both eviction policies on the heuristic engine, then the
+	// Auto engine under each strategy.
+	f.Add(int64(9), 14, 3, 3, 6, 0, 60, 1, 0, false)
+	f.Add(int64(11), 16, 4, 2, 6, 1, 40, 2, 0, false)
+	f.Add(int64(13), 16, 4, 2, 6, 2, 90, 2, 1, false)
+	f.Add(int64(5), 8, 2, 3, 6, 0, 70, 0, 0, true)
+	f.Add(int64(6), 8, 2, 3, 6, 1, 30, 1, 0, true)
+	f.Add(int64(8), 8, 3, 2, 6, 2, 50, 2, 1, true)
+	f.Fuzz(func(t *testing.T, seed int64, n, width, devices, grid, kind, at, storage, slotsEvict int, auto bool) {
 		n = 1 + mod(n, 20)
 		width = 1 + mod(width, 4)
 		devices = 1 + mod(devices, 4)
 		grid = 4 + mod(grid, 3)
 
+		opts := Options{
+			Devices: devices, GridRows: grid, GridCols: grid,
+			Engine: HeuristicEngine, Verify: true,
+			Storage: StoragePolicy(mod(storage, 3)),
+		}
+		if opts.Storage == HybridStorage {
+			opts.CacheSlots = 1 + mod(slotsEvict, 3)
+			if mod(slotsEvict, 2) == 0 {
+				opts.Eviction = "lru"
+			} else {
+				opts.Eviction = "earliest-next-fetch"
+			}
+		}
+		if auto {
+			// Bound the exact arm so one execution stays fast on one core.
+			opts.Engine = AutoEngine
+			opts.ILPTimeLimit = 200 * time.Millisecond
+		}
 		s, _ := New(Config{Workers: 1, QueueDepth: 2, CacheEntries: -1})
 		defer s.Close()
 		prior, err := s.Submit(context.Background(), Job{
-			Assay: RandomAssay(n, width, seed),
-			Options: Options{
-				Devices: devices, GridRows: grid, GridCols: grid,
-				Engine: HeuristicEngine, Verify: true,
-			},
+			Assay:   RandomAssay(n, width, seed),
+			Options: opts,
 		})
 		if err != nil {
 			t.Skip()
@@ -140,8 +168,8 @@ func FuzzRecoverVerify(f *testing.F) {
 		if err != nil {
 			var verr *VerifyError
 			if errors.As(err, &verr) {
-				t.Fatalf("n=%d width=%d devices=%d grid=%d fault=%v: spliced plan failed the recovery checker: %v",
-					n, width, devices, grid, fault, verr)
+				t.Fatalf("n=%d width=%d devices=%d grid=%d storage=%s slots=%d auto=%v fault=%v: spliced plan failed the recovery checker: %v",
+					n, width, devices, grid, opts.Storage, opts.CacheSlots, auto, fault, verr)
 			}
 			t.Skip() // unroutable mask: legitimate rejection
 		}
