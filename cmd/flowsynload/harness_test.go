@@ -49,9 +49,10 @@ func newFakeFleet(replicas int) *fakeFleet {
 	}
 }
 
-// admit records one job for a key: the fleet-wide first sight of a key is a
-// cold solve on this replica, everything after is warm.
-func (ff *fakeFleet) admit(rep int, key string) *fakeJob {
+// admit records one job for a key and returns the id it assigned: the
+// fleet-wide first sight of a key is a cold solve on this replica, everything
+// after is warm.
+func (ff *fakeFleet) admit(rep int, key string) string {
 	ff.mu.Lock()
 	defer ff.mu.Unlock()
 	ff.submitted++
@@ -67,16 +68,7 @@ func (ff *fakeFleet) admit(rep int, key string) *fakeJob {
 	ff.nextID++
 	id := fmt.Sprintf("job-%d", ff.nextID)
 	ff.jobs[id] = j
-	return j
-}
-
-func (ff *fakeFleet) id(j *fakeJob) string {
-	for id, job := range ff.jobs {
-		if job == j {
-			return id
-		}
-	}
-	return ""
+	return id
 }
 
 func (ff *fakeFleet) handler(rep int) http.Handler {
@@ -90,9 +82,9 @@ func (ff *fakeFleet) handler(rep int) http.Handler {
 		}
 		json.NewDecoder(r.Body).Decode(&req)
 		key := fmt.Sprintf("opts|%v", req.Options["transport"])
-		j := ff.admit(rep, key)
+		id := ff.admit(rep, key)
 		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]string{"id": ff.id(j)})
+		json.NewEncoder(w).Encode(map[string]string{"id": id})
 	})
 	mux.HandleFunc("POST /v1/jobs/{id}/resynthesize", func(w http.ResponseWriter, r *http.Request) {
 		ff.mu.Lock()
@@ -105,9 +97,9 @@ func (ff *fakeFleet) handler(rep int) http.Handler {
 		}
 		// The edited graph keeps the seed's options, so its store key is the
 		// seed's with an edit marker — one extra cold solve per edited key.
-		j := ff.admit(rep, "edit|"+prior.key)
+		id := ff.admit(rep, "edit|"+prior.key)
 		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]string{"id": ff.id(j)})
+		json.NewEncoder(w).Encode(map[string]string{"id": id})
 	})
 	mux.HandleFunc("POST /v1/jobs/{id}/recover", func(w http.ResponseWriter, r *http.Request) {
 		// Recoveries bypass every cache and never count a schedule solve.

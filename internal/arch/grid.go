@@ -60,6 +60,12 @@ func (g Grid) InBounds(row, col int) bool {
 	return row >= 0 && row < g.Rows && col >= 0 && col < g.Cols
 }
 
+// hasNode reports whether n is a node of the grid.
+func (g Grid) hasNode(n NodeID) bool { return n >= 0 && int(n) < g.NumNodes() }
+
+// hasEdge reports whether e is a channel segment of the grid.
+func (g Grid) hasEdge(e EdgeID) bool { return e >= 0 && int(e) < g.NumEdges() }
+
 // HorizontalEdge returns the edge between (row,col) and (row,col+1).
 func (g Grid) HorizontalEdge(row, col int) EdgeID {
 	return EdgeID(row*(g.Cols-1) + col)

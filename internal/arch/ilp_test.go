@@ -131,12 +131,7 @@ func TestILPMatchesHeuristicEdgeCount(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := &router{
-		grid: grid, occ: newOccupancy(),
-		isDevice:  map[NodeID]bool{fixed[0]: true, fixed[1]: true},
-		used:      map[EdgeID]bool{},
-		reuseCost: 10, newCost: 30,
-	}
+	r := newRouter(grid, fixed, -1, Options{ReuseCost: 10, NewCost: 30})
 	route, err := r.routeDirect(0, task, fixed[0], fixed[1])
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package arch
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -35,6 +34,27 @@ func (r Route) Edges() []EdgeID {
 	return out
 }
 
+// onGrid reports whether every node and segment of the route lies on g, and
+// a channel-stored route names its storage segment.
+func (r Route) onGrid(g Grid) bool {
+	if r.Task.Kind == sched.Stored && !r.Task.Unit && r.StorageEdge < 0 {
+		return false
+	}
+	for _, nodes := range [][]NodeID{r.OutNodes, r.FetchNodes} {
+		for _, n := range nodes {
+			if !g.hasNode(n) {
+				return false
+			}
+		}
+	}
+	for _, e := range r.Edges() {
+		if !g.hasEdge(e) {
+			return false
+		}
+	}
+	return true
+}
+
 // interval is a half-open time window [Start, End).
 type interval struct {
 	Start, End int
@@ -56,16 +76,16 @@ type tagged struct {
 // a device exposes several interface valves (the paper's Fig. 1(b) mixer
 // has six), so two fluids may use different ports of one device
 // concurrently — they are still forced onto distinct channel segments by
-// edge exclusivity.
+// edge exclusivity. The reservation lists are indexed by EdgeID and NodeID.
 type occupancy struct {
-	edges map[EdgeID][]tagged
-	nodes map[NodeID][]tagged
+	edges [][]tagged
+	nodes [][]tagged
 }
 
-func newOccupancy() *occupancy {
+func newOccupancy(g Grid) *occupancy {
 	return &occupancy{
-		edges: make(map[EdgeID][]tagged),
-		nodes: make(map[NodeID][]tagged),
+		edges: make([][]tagged, g.NumEdges()),
+		nodes: make([][]tagged, g.NumNodes()),
 	}
 }
 
@@ -119,32 +139,72 @@ func dropRoute(list []tagged, id int) []tagged {
 	return out
 }
 
-// router performs time-windowed shortest-path queries over the grid.
+// router performs time-windowed shortest-path queries over the grid. Its
+// per-resource state is held in slices indexed by NodeID or EdgeID.
 type router struct {
 	grid     Grid
 	occ      *occupancy
-	isDevice map[NodeID]bool
+	isDevice []bool
 	// unit is the dedicated storage unit's node (-1 without one). It is
 	// device-like: registered in isDevice, so paths terminate at it but never
 	// pass through, and unit tasks route their store and fetch legs to/from it.
 	unit NodeID
-	used map[EdgeID]bool // edges already used at least once
+	used []bool // edges already used at least once
 	// reuseCost/newCost price an edge traversal; newCost > reuseCost makes
 	// the router prefer already-used segments, minimizing the paper's
 	// objective (12) greedily.
 	reuseCost, newCost int
-	// bannedStorage excludes specific segments from storage selection; used
-	// while re-homing a ripped-up cache. (Transient — overwritten per rehome,
-	// which is why the fault masks below are separate fields.)
-	bannedStorage map[EdgeID]bool
+	// bannedStorage excludes one segment from storage selection (-1 for
+	// none); set while re-homing a ripped-up cache. (Transient — overwritten
+	// per rehome, which is why the fault masks below are separate fields.)
+	bannedStorage EdgeID
 	// forbidden excludes failed segments from all new routing and storage;
 	// noCache excludes degraded segments from storage candidacy only. Both
 	// come from injected faults and hold for the whole synthesis.
-	forbidden map[EdgeID]bool
-	noCache   map[EdgeID]bool
+	forbidden []bool
+	noCache   []bool
 	// pinned marks route ids installed verbatim from a pre-fault execution:
 	// rip-up may never evict them.
 	pinned map[int]bool
+}
+
+// newRouter returns a router with no reservations over grid, whose device
+// nodes are devices plus the storage unit (when unit >= 0), pricing edges and
+// masking faulted segments as opts says.
+func newRouter(grid Grid, devices []NodeID, unit NodeID, opts Options) *router {
+	r := &router{
+		grid:          grid,
+		occ:           newOccupancy(grid),
+		isDevice:      make([]bool, grid.NumNodes()),
+		unit:          unit,
+		used:          make([]bool, grid.NumEdges()),
+		reuseCost:     opts.ReuseCost,
+		newCost:       opts.NewCost,
+		bannedStorage: -1,
+		forbidden:     edgeMask(grid, opts.ForbiddenEdges),
+		noCache:       edgeMask(grid, opts.ForbiddenStorage),
+		pinned:        make(map[int]bool),
+	}
+	for _, p := range devices {
+		r.isDevice[p] = true
+	}
+	if unit >= 0 {
+		// Device-like: routes terminate at the unit, never pass through it,
+		// and cached fluids cannot park on its access segments' node.
+		r.isDevice[unit] = true
+	}
+	return r
+}
+
+// edgeMask marks the listed edges; IDs outside the grid name no segment.
+func edgeMask(g Grid, edges []EdgeID) []bool {
+	mask := make([]bool, g.NumEdges())
+	for _, e := range edges {
+		if g.hasEdge(e) {
+			mask[e] = true
+		}
+	}
+	return mask
 }
 
 // free reports whether switch node n is usable in window w; device nodes are
@@ -198,7 +258,7 @@ func (r *router) applyReservations(id int, route Route) {
 
 // rebuildUsed recomputes the used-edge set from the committed routes.
 func (r *router) rebuildUsed(routes []Route) {
-	r.used = make(map[EdgeID]bool)
+	clear(r.used)
 	for _, route := range routes {
 		for _, e := range route.Edges() {
 			r.used[e] = true
@@ -211,22 +271,54 @@ type pqItem struct {
 	dist int
 }
 
+// pq is Dijkstra's queue: a binary min-heap of labels ordered by distance,
+// then node. Each pushed (dist, node) pair is unique (a node is pushed again
+// only with a strictly smaller distance), so the pop order is fixed by that
+// order alone.
 type pq []pqItem
 
-func (p pq) Len() int      { return len(p) }
-func (p pq) Swap(i, j int) { p[i], p[j] = p[j], p[i] }
-func (p pq) Less(i, j int) bool {
+func (p pq) less(i, j int) bool {
 	if p[i].dist != p[j].dist {
 		return p[i].dist < p[j].dist
 	}
 	return p[i].node < p[j].node
 }
-func (p *pq) Push(x any) { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() any {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
+
+func (p *pq) push(it pqItem) {
+	*p = append(*p, it)
+	h := *p
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (p *pq) pop() pqItem {
+	h := *p
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if k := j + 1; k < n && h.less(k, j) {
+			j = k
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*p = h
+	return top
 }
 
 func (r *router) edgeCost(e EdgeID) int {
@@ -257,10 +349,10 @@ func (r *router) shortestTree(src NodeID, w interval, allowDevice NodeID, banEdg
 		return dist, predEdge, predNode
 	}
 	dist[src] = 0
-	h := &pq{{node: src, dist: 0}}
+	h := pq{{node: src, dist: 0}}
 	var nbuf [4]NodeID
-	for h.Len() > 0 {
-		it := heap.Pop(h).(pqItem)
+	for len(h) > 0 {
+		it := h.pop()
 		if it.dist > dist[it.node] {
 			continue
 		}
@@ -277,7 +369,7 @@ func (r *router) shortestTree(src NodeID, w interval, allowDevice NodeID, banEdg
 				dist[nb] = nd
 				predEdge[nb] = e
 				predNode[nb] = it.node
-				heap.Push(h, pqItem{node: nb, dist: nd})
+				h.push(pqItem{node: nb, dist: nd})
 			}
 		}
 	}
@@ -369,7 +461,7 @@ func (r *router) routeStored(id int, t sched.Task, src, dst NodeID) (Route, erro
 	var cands []candidate
 	for e := 0; e < r.grid.NumEdges(); e++ {
 		eid := EdgeID(e)
-		if r.bannedStorage[eid] || r.forbidden[eid] || r.noCache[eid] {
+		if eid == r.bannedStorage || r.forbidden[eid] || r.noCache[eid] {
 			continue
 		}
 		if !r.occ.edgeFree(eid, spanW) {
@@ -567,10 +659,10 @@ func (r *router) ripUpAndRetry(id int, t sched.Task, src, dst NodeID, routes []R
 			return r.routeUnit(j, old.Task, vSrc, vDst)
 		}
 		if old.Task.Kind == sched.Stored {
-			r.bannedStorage = map[EdgeID]bool{old.StorageEdge: true}
+			r.bannedStorage = old.StorageEdge
 			vSrc, vDst := old.OutNodes[0], old.FetchNodes[len(old.FetchNodes)-1]
 			rerouted, err := r.routeStored(j, old.Task, vSrc, vDst)
-			r.bannedStorage = nil
+			r.bannedStorage = -1
 			return rerouted, err
 		}
 		vSrc, vDst := old.OutNodes[0], old.OutNodes[len(old.OutNodes)-1]

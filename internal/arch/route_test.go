@@ -7,7 +7,8 @@ import (
 )
 
 func TestOccupancyReserveAndRelease(t *testing.T) {
-	o := newOccupancy()
+	grid, _ := NewGrid(3, 3)
+	o := newOccupancy(grid)
 	e := EdgeID(3)
 	if !o.edgeFree(e, interval{0, 10}) {
 		t.Fatal("fresh edge not free")
@@ -40,7 +41,8 @@ func TestOccupancyReserveAndRelease(t *testing.T) {
 }
 
 func TestZeroWidthReservationsIgnored(t *testing.T) {
-	o := newOccupancy()
+	grid, _ := NewGrid(3, 3)
+	o := newOccupancy(grid)
 	o.reserveEdge(0, EdgeID(1), interval{5, 5})
 	if !o.edgeFree(EdgeID(1), interval{0, 100}) {
 		t.Error("empty window reserved")
@@ -98,14 +100,7 @@ func TestRipUpEvictsBlockingCache(t *testing.T) {
 	// needs exactly that corridor. Rip-up must relocate the cache.
 	grid, _ := NewGrid(3, 3)
 	a, b := grid.Node(1, 0), grid.Node(1, 2)
-	r := &router{
-		grid:      grid,
-		occ:       newOccupancy(),
-		isDevice:  map[NodeID]bool{a: true, b: true},
-		used:      map[EdgeID]bool{},
-		reuseCost: 10,
-		newCost:   30,
-	}
+	r := newRouter(grid, []NodeID{a, b}, -1, Options{ReuseCost: 10, NewCost: 30})
 	storedTask := sched.Task{
 		Kind: sched.Stored, From: 0, To: 1,
 		OutStart: 0, OutEnd: 5, FetchStart: 100, FetchEnd: 105,

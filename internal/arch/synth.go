@@ -193,14 +193,11 @@ func SynthesizeContext(ctx context.Context, s *sched.Schedule, grid Grid, opts O
 			return nil, fmt.Errorf("arch: %d pinned route(s) serve no task of the schedule",
 				len(pinnedByTask)-found)
 		}
-	}
-	forbidden := make(map[EdgeID]bool, len(opts.ForbiddenEdges))
-	for _, e := range opts.ForbiddenEdges {
-		forbidden[e] = true
-	}
-	noCache := make(map[EdgeID]bool, len(opts.ForbiddenStorage))
-	for _, e := range opts.ForbiddenStorage {
-		noCache[e] = true
+		for _, pr := range opts.PinnedRoutes {
+			if !pr.onGrid(grid) {
+				return nil, fmt.Errorf("arch: pinned route for task %v leaves the %s grid", pr.Task.Edge, grid)
+			}
+		}
 	}
 
 	// Candidate placements: the requested one, then fallbacks (a different
@@ -278,26 +275,7 @@ func SynthesizeContext(ctx context.Context, s *sched.Schedule, grid Grid, opts O
 				unitNode = un
 			}
 		}
-		r = &router{
-			grid:      grid,
-			occ:       newOccupancy(),
-			isDevice:  make(map[NodeID]bool, len(pos)+1),
-			unit:      unitNode,
-			used:      make(map[EdgeID]bool),
-			reuseCost: opts.ReuseCost,
-			newCost:   opts.NewCost,
-			forbidden: forbidden,
-			noCache:   noCache,
-			pinned:    make(map[int]bool, len(pinnedByTask)),
-		}
-		for _, p := range pos {
-			r.isDevice[p] = true
-		}
-		if unitNode >= 0 {
-			// Device-like: routes terminate at the unit, never pass through it,
-			// and cached fluids cannot park on its access segments' node.
-			r.isDevice[unitNode] = true
-		}
+		r = newRouter(grid, pos, unitNode, opts)
 		routes = make([]Route, 0, len(tasks))
 		routedOK = true
 		for i, t := range tasks {
@@ -351,16 +329,12 @@ func SynthesizeContext(ctx context.Context, s *sched.Schedule, grid Grid, opts O
 	}
 	// Used edges come from the final routes (rip-up may orphan edges the
 	// router touched transiently).
-	finalUsed := make(map[EdgeID]bool)
-	for _, route := range routes {
-		for _, e := range route.Edges() {
-			finalUsed[e] = true
+	r.rebuildUsed(routes)
+	for e, used := range r.used {
+		if used {
+			res.UsedEdges = append(res.UsedEdges, EdgeID(e))
 		}
 	}
-	for e := range finalUsed {
-		res.UsedEdges = append(res.UsedEdges, e)
-	}
-	sort.Slice(res.UsedEdges, func(i, j int) bool { return res.UsedEdges[i] < res.UsedEdges[j] })
 	res.NumEdges = len(res.UsedEdges)
 	// Port endpoints carry valves (a port is a gated opening); only valves
 	// inside true devices are excluded from n_v, as in the paper. The storage

@@ -176,8 +176,21 @@ func TestFixedPlacement(t *testing.T) {
 	}
 	// With I/O modeled the placement must also cover the two ports.
 	withPorts := []NodeID{grid.Node(1, 1), grid.Node(2, 2), grid.Node(0, 0), grid.Node(3, 3)}
-	if _, err := Synthesize(s, grid, Options{FixedPlacement: withPorts, ModelIO: true}); err != nil {
-		t.Errorf("fixed placement with ports: %v", err)
+	io, err := Synthesize(s, grid, Options{FixedPlacement: withPorts, ModelIO: true})
+	if err != nil {
+		t.Fatalf("fixed placement with ports: %v", err)
+	}
+	// Pinned routes must lie on the grid; forbidden IDs off the grid name no
+	// segment.
+	off := io.Routes[0]
+	off.OutEdges = append([]EdgeID{EdgeID(grid.NumEdges())}, off.OutEdges[1:]...)
+	if _, err := Synthesize(s, grid, Options{FixedPlacement: withPorts, ModelIO: true, PinnedRoutes: []Route{off}}); err == nil {
+		t.Error("off-grid pinned route accepted")
+	}
+	offGrid := []EdgeID{-1, EdgeID(grid.NumEdges())}
+	if _, err := Synthesize(s, grid, Options{FixedPlacement: withPorts, ModelIO: true,
+		ForbiddenEdges: offGrid, ForbiddenStorage: offGrid}); err != nil {
+		t.Errorf("off-grid forbidden segments: %v", err)
 	}
 	if _, err := Synthesize(s, grid, Options{FixedPlacement: fixed, ModelIO: true}); err == nil {
 		t.Error("placement without port nodes accepted while I/O is modeled")

@@ -52,14 +52,26 @@ func (s SegmentState) String() string {
 
 // Simulator replays a synthesis result over time.
 type Simulator struct {
-	res    *arch.Result
-	sched  *sched.Schedule
-	faults []Fault
+	res     *arch.Result
+	sched   *sched.Schedule
+	faults  []Fault
+	horizon int
 }
 
 // New builds a simulator for the given architecture and schedule.
 func New(res *arch.Result, s *sched.Schedule) *Simulator {
-	return &Simulator{res: res, sched: s}
+	h := s.Makespan
+	for i := range res.Routes {
+		t := &res.Routes[i].Task
+		end := t.Arrive
+		if t.Kind == sched.Stored {
+			end = t.FetchEnd
+		}
+		if end > h {
+			h = end
+		}
+	}
+	return &Simulator{res: res, sched: s, horizon: h}
 }
 
 // Snapshot is the chip state at one instant.
@@ -92,19 +104,7 @@ type Snapshot struct {
 // with it the makespan — ends). Utilization and Timeline integrate to the
 // horizon, not the makespan, so those tail seconds are neither lost in
 // animations nor silently diluted out of the utilization denominator.
-func (sim *Simulator) Horizon() int {
-	h := sim.sched.Makespan
-	for _, route := range sim.res.Routes {
-		end := route.Task.Arrive
-		if route.Task.Kind == sched.Stored {
-			end = route.Task.FetchEnd
-		}
-		if end > h {
-			h = end
-		}
-	}
-	return h
-}
+func (sim *Simulator) Horizon() int { return sim.horizon }
 
 // At computes the chip state at time t.
 func (sim *Simulator) At(t int) *Snapshot {
@@ -112,15 +112,16 @@ func (sim *Simulator) At(t int) *Snapshot {
 		Time:    t,
 		Segment: make(map[arch.EdgeID]SegmentState, sim.res.Grid.NumEdges()),
 	}
-	if t < 0 || t > sim.Horizon() {
+	if t < 0 || t > sim.horizon {
 		snap.OutOfRange = true
 	}
 	for _, e := range sim.res.UsedEdges {
 		snap.Segment[e] = Idle
 	}
 	in := func(start, end int) bool { return t >= start && t < end }
-	for i, route := range sim.res.Routes {
-		task := route.Task
+	for i := range sim.res.Routes {
+		route := &sim.res.Routes[i]
+		task := &route.Task
 		active := false
 		if task.Kind == sched.Direct {
 			if in(task.Depart, task.Arrive) {

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"slices"
+
 	"flowsyn/internal/arch"
 	"flowsyn/internal/sched"
 	"flowsyn/internal/sim"
@@ -163,13 +165,34 @@ func Horizon(s *sched.Schedule, a *arch.Result) int {
 	return h
 }
 
+// changePoints returns, ascending and without repeats, instant 0 plus every
+// time field of every routed task that lies in [0, horizon]. The points come
+// from the raw routes, not from either side of CheckSim, and every window of
+// both sides opens and closes at one of these fields.
+func changePoints(a *arch.Result, horizon int) []int {
+	pts := make([]int, 1, 1+6*len(a.Routes))
+	for i := range a.Routes {
+		t := &a.Routes[i].Task
+		for _, p := range [...]int{t.Depart, t.Arrive, t.OutStart, t.OutEnd, t.FetchStart, t.FetchEnd} {
+			if p > 0 && p <= horizon {
+				pts = append(pts, p)
+			}
+		}
+	}
+	slices.Sort(pts)
+	return slices.Compact(pts)
+}
+
 // CheckSim replays the result through the execution simulator (internal/sim)
 // and asserts that the simulator's snapshot agrees with the checker's
-// interval accounting — segment by segment and cached-fluid count — at every
-// instant from 0 through the horizon. The two sides read the same routed
-// tasks but evaluate them with different algorithms (per-route window replay
-// vs. flattened interval claims), so an off-by-one or semantic drift in
-// either one surfaces as a sim-agreement violation.
+// interval accounting — segment by segment, cached-fluid count and unit
+// residents — at every change point from 0 through the horizon. No window on
+// either side opens or closes between two consecutive change points, so both
+// sides are constant there and checking the points is equivalent to checking
+// every instant. The two sides read the same routed tasks but evaluate them
+// with different algorithms (per-route window replay vs. flattened interval
+// claims), so an off-by-one or semantic drift in either one surfaces as a
+// sim-agreement violation.
 func CheckSim(s *sched.Schedule, a *arch.Result) error {
 	r := &Report{}
 	simulator := sim.New(a, s)
@@ -178,7 +201,7 @@ func CheckSim(s *sched.Schedule, a *arch.Result) error {
 	if ac.horizon > horizon {
 		horizon = ac.horizon
 	}
-	for t := 0; t <= horizon; t++ {
+	for _, t := range changePoints(a, horizon) {
 		snap := simulator.At(t)
 		states, cached := ac.At(t)
 		if snap.CachedSamples != cached {

@@ -17,7 +17,7 @@ import (
 // batch runner with verification forced on, asserting that
 //
 //   - every synthesis succeeds and passes the independent invariant checker
-//     (including the simulator replay cross-check at every instant),
+//     (including the simulator replay cross-check at every change point),
 //   - analytic lower bounds (critical path, total work / devices) hold for
 //     every engine's makespan, and
 //   - whenever the exact ILP proves a pure-makespan optimum, that optimum
@@ -245,5 +245,39 @@ func TestPropertyVerifyCatchesSabotage(t *testing.T) {
 	}
 	if len(verr.Violations) == 0 {
 		t.Fatal("VerifyError carries no violations")
+	}
+}
+
+// TestVerifyLongHorizonLatency synthesizes, with verification on, three
+// 10^8-second operations on one device, so one product waits 10^8 s in a
+// channel. Verification work grows with the number of task windows, not with
+// the horizon, so the job must finish within seconds; replaying every second
+// of the horizon would pin a worker for minutes.
+func TestVerifyLongHorizonLatency(t *testing.T) {
+	const opSeconds = 100_000_000
+	a := NewAssay("long-horizon")
+	o1, _ := a.AddOperation("o1", Mix, opSeconds, 2)
+	o2, _ := a.AddOperation("o2", Mix, opSeconds, 2)
+	o3, _ := a.AddOperation("o3", Mix, opSeconds, 0)
+	for _, parent := range []Op{o1, o2} {
+		if err := a.AddDependency(parent, o3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		res, err := Synthesize(a, Options{Devices: 1, Verify: true})
+		if err == nil && (res.StoreCount() != 1 || !res.Verified()) {
+			err = fmt.Errorf("want one verified stored fluid, got %d stored, verified %v", res.StoreCount(), res.Verified())
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("synthesis with verification still running after 5s")
 	}
 }
