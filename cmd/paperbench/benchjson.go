@@ -123,6 +123,14 @@ type benchGapRun struct {
 	Winner string  `json:"winner"`
 	// Optimal reports a full optimality proof (gap 0) inside the limit.
 	Optimal bool `json:"optimal"`
+	// Solver work counters: simplex pivots, root cut rounds, and the
+	// improving incumbents found by the node heuristics and by local
+	// branching. Baselines recorded before these fields existed read them
+	// as zero; no gate compares them.
+	Pivots            int `json:"pivots"`
+	CutRounds         int `json:"cut_rounds"`
+	HeuristicIncumb   int `json:"heuristic_incumbents"`
+	LocalBranchIncumb int `json:"local_branching_incumbents"`
 }
 
 // benchCacheRun measures the session Solver's caches on one assay: a cold
@@ -598,6 +606,11 @@ func runGapSuite(ctx context.Context) ([]benchGapRun, error) {
 				WallMS:  float64(wall.Microseconds()) / 1e3,
 				Winner:  info.Winner,
 				Optimal: info.Status == milp.StatusOptimal,
+
+				Pivots:            info.Solver.SimplexIters,
+				CutRounds:         info.Solver.Cuts.Rounds,
+				HeuristicIncumb:   info.Solver.HeuristicIncumbents,
+				LocalBranchIncumb: info.Solver.LocalBranchingIncumbents,
 			})
 		}
 	}

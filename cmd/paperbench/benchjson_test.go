@@ -196,3 +196,44 @@ func TestCheckBenchFile(t *testing.T) {
 		t.Error("missing artifact passed -bench-check")
 	}
 }
+
+// TestGapRunCountersAgainstOldBaseline keeps -bench-baseline working against
+// BENCH_pr10.json, recorded before gap_runs carried solver counters: the
+// missing fields read as zero and gate nothing, and a fresh emission that
+// carries them still passes against it.
+func TestGapRunCountersAgainstOldBaseline(t *testing.T) {
+	baseline := filepath.Join("..", "..", "BENCH_pr10.json")
+	data, err := os.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base benchFile
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	if len(base.GapRuns) == 0 {
+		t.Fatal("baseline carries no gap runs; the test checks nothing")
+	}
+	fresh := base
+	fresh.GapRuns = append([]benchGapRun(nil), base.GapRuns...)
+	for i := range fresh.GapRuns {
+		g := &fresh.GapRuns[i]
+		if g.Pivots != 0 || g.CutRounds != 0 || g.HeuristicIncumb != 0 || g.LocalBranchIncumb != 0 {
+			t.Fatalf("gap run %d/%d read counters from a baseline without them: %+v", g.Ops, g.Seed, *g)
+		}
+		g.Pivots, g.CutRounds, g.HeuristicIncumb, g.LocalBranchIncumb = 1000, 2, 1, 1
+	}
+	path := writeBench(t, t.TempDir(), "fresh.json", fresh)
+	if err := checkBenchRegression(path, baseline); err != nil {
+		t.Fatalf("fresh emission with gap counters failed against %s: %v", baseline, err)
+	}
+	out, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"pivots":1000`, `"cut_rounds":2`, `"heuristic_incumbents":1`, `"local_branching_incumbents":1`} {
+		if !strings.Contains(string(out), key) {
+			t.Errorf("emission lacks %s", key)
+		}
+	}
+}

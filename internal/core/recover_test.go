@@ -8,6 +8,7 @@ import (
 
 	"flowsyn/internal/arch"
 	"flowsyn/internal/assay"
+	"flowsyn/internal/milp"
 	"flowsyn/internal/sim"
 	"flowsyn/internal/storage"
 	"flowsyn/internal/verify"
@@ -138,6 +139,45 @@ func TestRecoverExactEngine(t *testing.T) {
 		if a.Start < fault.Time && rec.Schedule.Assignments[a.Op] != a {
 			t.Errorf("executed op %d re-planned by the exact engine", a.Op)
 		}
+	}
+}
+
+// TestRecoverIVDProvesAtRoot pins the pinned solve's warm start: with the
+// model-semantics greedy challenger seeded by the executed prefix, IVD's
+// recovery from a mid-run device fault starts at an incumbent that meets the
+// rounded root bound, so the exact engine proves it at the root node without
+// a cut round. The list schedule's realized times alone leave a model
+// objective above that bound, which the tree then has to close.
+func TestRecoverIVDProvesAtRoot(t *testing.T) {
+	b := assay.MustGet("IVD")
+	opts := Options{
+		Devices:   b.Devices,
+		Transport: b.Transport,
+		GridRows:  b.GridRows,
+		GridCols:  b.GridCols,
+		ModelIO:   b.ModelIO,
+		Engine:    ExactILP,
+		Verify:    true,
+	}
+	prior, err := Synthesize(b.Graph, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := sim.Fault{Kind: sim.FaultDevice, Time: prior.Schedule.Makespan / 2, Device: 1}
+	rec, err := RecoverContext(context.Background(), opts, prior, fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Verified {
+		t.Error("IVD recovery not verified")
+	}
+	info := rec.SchedInfo
+	if info == nil {
+		t.Fatal("exact-engine recovery carries no solver info")
+	}
+	if info.Status != milp.StatusOptimal || info.Solver.Nodes != 1 || info.Solver.Cuts.Rounds != 0 {
+		t.Errorf("status %v, %d nodes, %d cut rounds; want optimal at 1 node with 0 rounds",
+			info.Status, info.Solver.Nodes, info.Solver.Cuts.Rounds)
 	}
 }
 

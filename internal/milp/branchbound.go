@@ -270,8 +270,18 @@ func SolveContext(ctx context.Context, m *Model, opts SolveOptions) (*Solution, 
 	// Root cutting planes: tighten the relaxation with Gomory mixed-integer,
 	// lifted cover, and conflict-clique cuts before any branching. The cut
 	// loop also hands back the root optimum's basis, so the root node
-	// warm-starts like any other.
-	cutRes := rootCutLoop(solveCtx, in, opts.IntFeasTol, opts.Conflicts, workers)
+	// warm-starts like any other. Separation stops as soon as the root bound
+	// proves the incumbent by the same test that prunes a tree node: the
+	// root node then prunes itself, and further cuts could only tighten a
+	// bound nothing needs.
+	obj, _ := m.Objective()
+	rootProven := func(st *simplexState) bool {
+		lb := nodeBound(obj, dirSign, opts.ObjIntegral, st.extract())
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.gapMetLocked(lb, opts.Gap)
+	}
+	cutRes := rootCutLoop(solveCtx, in, opts.IntFeasTol, opts.Conflicts, workers, rootProven)
 	in = cutRes.in
 	stats.Cuts = cutRes.stats
 	stats.SeparationWall = cutRes.sepWall
@@ -294,7 +304,6 @@ func SolveContext(ctx context.Context, m *Model, opts SolveOptions) (*Solution, 
 	sh.pcUpN = make([]int32, in.nStruct)
 
 	sh.open = nodeHeap{root}
-	obj, _ := m.Objective()
 
 	// A context abort must also wake workers parked on the condition
 	// variable; the watcher exits when the solve finishes (cancel above).
@@ -527,15 +536,18 @@ func (w *bbWorker) applyChanges(changes []bndChange) bool {
 	return true
 }
 
-// solveRelax runs the given warm attempt and falls back to a from-scratch
-// solve when it failed numerically or stalled on degeneracy while the clock
-// is still running. The bool reports whether the warm start was used.
-func (w *bbWorker) solveRelax(warmAttempt func() Status) (Status, bool) {
-	st := warmAttempt()
-	if st == statusNumFail || (st == StatusIterLimit && w.st.ctx.Err() == nil) {
-		return w.st.solveCold(), false
+// nodeBound is the bound, in minimize sense, that an optimal relaxation at
+// the model point x proves for its subtree. Under ObjIntegral every
+// attainable objective is integral, so the fractional value rounds up for
+// free.
+func nodeBound(obj Expr, dirSign float64, objIntegral bool, x []float64) float64 {
+	lb := dirSign * obj.Eval(x)
+	if objIntegral {
+		if r := math.Ceil(lb - 1e-6); r > lb {
+			lb = r
+		}
 	}
-	return st, true
+	return lb
 }
 
 // processSubtree solves the popped node and dives down one child chain,
@@ -562,15 +574,8 @@ func (w *bbWorker) processSubtree(node *bbNode) {
 	var status Status
 	var warmed bool
 	if node.basic != nil {
-		copy(st.basic, node.basic)
-		copy(st.stat, node.stat)
-		for j := range st.pos {
-			st.pos[j] = -1
-		}
-		for i, col := range st.basic {
-			st.pos[col] = int32(i)
-		}
-		status, warmed = w.solveRelax(st.solveWarm)
+		st.installBasis(node.basic, node.stat)
+		status, warmed = st.solveRelax(st.solveWarm)
 	} else {
 		status, warmed = st.solveCold(), false
 	}
@@ -586,14 +591,7 @@ func (w *bbWorker) processSubtree(node *bbNode) {
 		lb := curBound
 		if status == StatusOptimal {
 			x = st.extract()
-			lb = w.dirSign * w.obj.Eval(x)
-			if w.opts.ObjIntegral {
-				// Every attainable objective in this subtree is integral, so
-				// the fractional relaxation bound rounds up for free.
-				if r := math.Ceil(lb - 1e-6); r > lb {
-					lb = r
-				}
-			}
+			lb = nodeBound(w.obj, w.dirSign, w.opts.ObjIntegral, x)
 			if bcol >= 0 {
 				// The branch that created this node degraded the bound by
 				// lb-curBound over a fractional distance of bdist: one
@@ -630,9 +628,10 @@ func (w *bbWorker) processSubtree(node *bbNode) {
 			w.runHeuristics(x)
 		}
 
-		// Local branching: whenever the incumbent has improved since the last
-		// attempt, one worker searches its Hamming-ball neighbourhood as a
-		// budgeted sub-MIP on a scratch state.
+		// Local branching: once the tree is large enough and the incumbent
+		// has improved since the last attempt, one worker searches its
+		// Hamming-ball neighbourhood as a budgeted sub-MIP on a scratch state
+		// (claimLocalBranchSlot holds the trigger).
 		if inc, cutoff, ok := w.claimLocalBranchSlot(); ok {
 			w.runLocalBranch(inc, cutoff)
 		}
@@ -695,7 +694,7 @@ func (w *bbWorker) processSubtree(node *bbNode) {
 			w.propPrune++
 			return
 		}
-		status, warmed = w.solveRelax(func() Status { return st.dual(st.warmLimit()) })
+		status, warmed = st.solveRelax(func() Status { return st.dual(st.warmLimit()) })
 	}
 }
 

@@ -149,7 +149,7 @@ func TestCliqueCutsValidOnAllIntegerPoints(t *testing.T) {
 	if decided != StatusUnknown {
 		t.Fatalf("compile decided the model outright: %v", decided)
 	}
-	res := rootCutLoop(context.Background(), base, 1e-6, nil, 1)
+	res := rootCutLoop(context.Background(), base, 1e-6, nil, 1, nil)
 	if res.status != StatusOptimal {
 		t.Fatalf("root cut loop status = %v", res.status)
 	}
@@ -210,7 +210,7 @@ func TestLiftedCoverValidOnAllIntegerPoints(t *testing.T) {
 	if decided != StatusUnknown {
 		t.Fatalf("compile decided the model outright: %v", decided)
 	}
-	res := rootCutLoop(context.Background(), base, 1e-6, nil, 1)
+	res := rootCutLoop(context.Background(), base, 1e-6, nil, 1, nil)
 	if res.status != StatusOptimal {
 		t.Fatalf("root cut loop status = %v", res.status)
 	}

@@ -65,7 +65,8 @@ func (c *cutRow) violation(x []float64) float64 {
 
 // CutStats reports the root cutting-plane loop's work.
 type CutStats struct {
-	// Rounds is the number of separate-apply-resolve iterations run.
+	// Rounds is the number of separate-apply-resolve iterations whose
+	// re-solve succeeded.
 	Rounds int
 	// Gomory and Cover count cuts separated per family (after violation and
 	// numerical screening).
@@ -591,12 +592,56 @@ func (r *cutLoopResult) addIters(st *simplexState) {
 	r.full += st.fullPivots
 }
 
+// keep records st, an optimal state on in, as the loop's current outcome.
+func (r *cutLoopResult) keep(in *instance, st *simplexState) {
+	r.in = in
+	r.basic = append(r.basic[:0], st.basic...)
+	r.stat = append(r.stat[:0], st.stat...)
+}
+
+// carryBasis builds the starting basis for extendWithCuts(base, next) from
+// st, an optimal state on extendWithCuts(base, prev). Structural and
+// base-slack columns keep their statuses (extendWithCuts keeps their
+// indices), every cut in both lists carries its slack's status by cut
+// identity, and the slack of every cut new in next enters the basis. Adding
+// cuts that way keeps the basis dual feasible, so the dual simplex only has
+// to repair the new, violated rows; dropping cuts whose slacks are basic
+// leaves the basis optimal. ok is false when the result is not square —
+// some dropped cut had a nonbasic slack — and the caller must solve cold.
+func carryBasis(base *instance, st *simplexState, prev, next []*cutRow) (basic []int32, stat []int8, ok bool) {
+	col := make(map[*cutRow]int, len(next))
+	for k, c := range next {
+		col[c] = base.n + k
+	}
+	stat = make([]int8, base.n+len(next))
+	copy(stat, st.stat[:base.n])
+	for k := range next {
+		stat[base.n+k] = nbBasic
+	}
+	for k, c := range prev {
+		if j, kept := col[c]; kept {
+			stat[j] = st.stat[base.n+k]
+		}
+	}
+	m := base.m + len(next)
+	basic = make([]int32, 0, m)
+	for j, s := range stat {
+		if s == nbBasic {
+			basic = append(basic, int32(j))
+		}
+	}
+	return basic, stat, len(basic) == m
+}
+
 // rootCutLoop runs the separate-apply-resolve loop at the root: solve the
 // relaxation, derive Gomory mixed-integer cuts from the fractional basis
 // rows, lifted cover cuts from the knapsack row views, and clique cuts from
 // the conflict graph, screen them, extend the instance, and resolve, until
-// no violated cut remains, the bound tails off, or the round cap hits.
-// Aging retires cuts that go slack in later rounds. The three families
+// no violated cut remains, the bound tails off, the round cap hits, or
+// proven (when non-nil) reports that the current relaxation already proves
+// the incumbent. Aging retires cuts that go slack in later rounds. Every
+// re-solve starts warm from the previous round's basis (carryBasis) and
+// falls back to a cold solve by solveRelax's rule. The three families
 // separate concurrently when workers > 1 (the Gomory family owns the
 // simplex state exclusively — btranRow mutates scratch — so parallelism is
 // across families, never within one); each family keeps its own persistent
@@ -605,8 +650,11 @@ func (r *cutLoopResult) addIters(st *simplexState) {
 // Workers=1 run is byte-reproducible. The returned status is StatusOptimal
 // when a usable relaxation optimum (and basis) is available; any other
 // status means branch and bound should start from the base instance as if
-// no cutting had run.
-func rootCutLoop(ctx context.Context, base *instance, intTol float64, conflicts [][2]ConflictLiteral, workers int) cutLoopResult {
+// no cutting had run. When a re-solve fails the loop stops and returns the
+// last instance that solved; the counters then describe that instance:
+// Rounds counts only rounds whose LP solved, and Applied is the number of
+// cut rows the returned instance carries.
+func rootCutLoop(ctx context.Context, base *instance, intTol float64, conflicts [][2]ConflictLiteral, workers int, proven func(*simplexState) bool) cutLoopResult {
 	res := cutLoopResult{in: base, status: StatusUnknown}
 	st := newState(base)
 	st.ctx = ctx
@@ -617,8 +665,7 @@ func rootCutLoop(ctx context.Context, base *instance, intTol float64, conflicts 
 		return res
 	}
 	res.status = StatusOptimal
-	res.basic = append([]int32(nil), st.basic...)
-	res.stat = append([]int8(nil), st.stat...)
+	res.keep(base, st)
 
 	x := make([]float64, base.nStruct)
 	structValues := func(s *simplexState) {
@@ -628,8 +675,29 @@ func rootCutLoop(ctx context.Context, base *instance, intTol float64, conflicts 
 	}
 	lastObj := math.Inf(-1)
 	tails := 0
-	var pool []*cutRow // applied cuts, in instance row order
-	cur := base
+	var pool []*cutRow // applied cuts, in the row order of st's instance
+
+	// resolve solves extendWithCuts(base, cuts) warm from st's basis and,
+	// on success, makes it the loop's current LP.
+	resolve := func(cuts []*cutRow) bool {
+		in := extendWithCuts(base, cuts)
+		next := newState(in)
+		next.ctx = ctx
+		var status Status
+		if basic, stat, ok := carryBasis(base, st, pool, cuts); ok {
+			next.installBasis(basic, stat)
+			status, _ = next.solveRelax(next.solveWarm)
+		} else {
+			status = next.solveCold()
+		}
+		res.addIters(next)
+		if status != StatusOptimal {
+			return false
+		}
+		st, pool = next, cuts
+		res.keep(in, st)
+		return true
+	}
 
 	// Persistent per-family separators and the conflict graph, built once
 	// and reused every round (the gomory separator retargets to the current
@@ -649,6 +717,9 @@ func rootCutLoop(ctx context.Context, base *instance, intTol float64, conflicts 
 		if ctx != nil && ctx.Err() != nil {
 			break
 		}
+		if proven != nil && proven(st) {
+			break // the incumbent is proven; tighter rows would not matter
+		}
 		structValues(st)
 		fractional := false
 		for j := 0; j < base.nStruct; j++ {
@@ -667,8 +738,8 @@ func rootCutLoop(ctx context.Context, base *instance, intTol float64, conflicts 
 		covers = covers[:0]
 		cliques = cliques[:0]
 		gomoryTask := func() {
-			sepG.retarget(cur)
-			for r := 0; r < cur.m; r++ {
+			sepG.retarget(st.in)
+			for r := 0; r < st.in.m; r++ {
 				if c := sepG.gomoryFromRow(st, r, x); c != nil {
 					gmi = append(gmi, scored{c, c.violation(x) / c.norm, r})
 				}
@@ -772,62 +843,42 @@ func rootCutLoop(ctx context.Context, base *instance, intTol float64, conflicts 
 		if len(fresh) == 0 {
 			break
 		}
-		pool = append(pool, fresh...)
+		// A failed re-solve (numerical trouble or abort) keeps the last
+		// instance that solved cleanly.
+		if !resolve(append(pool, fresh...)) {
+			break
+		}
 		res.stats.Rounds++
 
-		cur = extendWithCuts(base, pool)
-		st = newState(cur)
-		st.ctx = ctx
-		status = st.solveCold()
-		res.addIters(st)
-		if status != StatusOptimal {
-			// Numerical trouble or abort on the extended LP: fall back to
-			// the last instance that solved cleanly.
-			return res
-		}
-		res.in = cur
-		res.basic = append(res.basic[:0], st.basic...)
-		res.stat = append(res.stat[:0], st.stat...)
-
 		// Activity-based aging: cuts slack at the new vertex idle; retire
-		// them after cutAgeLimit consecutive idle rounds.
-		kept := pool[:0]
-		aged := false
+		// them after cutAgeLimit consecutive idle rounds. A retired cut's
+		// slack is nonzero, hence basic, so the rebuilt instance inherits a
+		// square optimal basis.
+		var kept []*cutRow
 		for k, c := range pool {
-			sv := st.colValue(base.nStruct + base.m + k)
+			sv := st.colValue(base.n + k)
 			if math.Abs(sv) > cutBindEps {
 				c.idle++
 			} else {
 				c.idle = 0
 			}
-			if c.idle >= cutAgeLimit {
-				res.stats.AgedOut++
-				aged = true
-				continue
+			if c.idle < cutAgeLimit {
+				kept = append(kept, c)
 			}
-			kept = append(kept, c)
 		}
-		pool = kept
-		if aged {
+		if aged := len(pool) - len(kept); aged > 0 {
 			// The instance must match the pool exactly (slack positions);
 			// rebuild without the retired rows before the next round.
-			cur = extendWithCuts(base, pool)
-			st = newState(cur)
-			st.ctx = ctx
-			status = st.solveCold()
-			res.addIters(st)
-			if status != StatusOptimal {
-				return res
+			if !resolve(kept) {
+				break
 			}
-			res.in = cur
-			res.basic = append(res.basic[:0], st.basic...)
-			res.stat = append(res.stat[:0], st.stat...)
+			res.stats.AgedOut += aged
 		}
 
 		// Tailing-off detection on the root bound (minimize sense).
 		obj := 0.0
-		for j := 0; j < cur.nStruct; j++ {
-			obj += cur.c[j] * st.colValue(j)
+		for j := 0; j < base.nStruct; j++ {
+			obj += base.c[j] * st.colValue(j)
 		}
 		if obj-lastObj <= cutTailTol*math.Max(1, math.Abs(obj)) {
 			tails++
@@ -839,6 +890,6 @@ func rootCutLoop(ctx context.Context, base *instance, intTol float64, conflicts 
 		}
 		lastObj = obj
 	}
-	res.stats.Applied = len(pool)
+	res.stats.Applied = res.in.m - base.m
 	return res
 }

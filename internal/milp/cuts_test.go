@@ -175,12 +175,9 @@ func TestCoverComplemented(t *testing.T) {
 	}
 }
 
-// TestRootCutsValidOnAllIntegerPoints is the safety property of the whole
-// root loop: every cut row the extended instance carries must be satisfied by
-// every integer-feasible point of the model. The model mixes <=, >= and
-// binary knapsacks so both separators fire; all 2^6 assignments are
-// enumerated.
-func TestRootCutsValidOnAllIntegerPoints(t *testing.T) {
+// mixedKnapsackModel mixes <=, >= and binary knapsack rows over six binaries
+// so both the Gomory and the cover separator fire at its root.
+func mixedKnapsackModel() (*Model, []Var) {
 	m := NewModel()
 	vars := make([]Var, 6)
 	for i := range vars {
@@ -195,12 +192,21 @@ func TestRootCutsValidOnAllIntegerPoints(t *testing.T) {
 		obj.Add(vars[i], c)
 	}
 	m.SetObjective(*obj, Minimize)
+	return m, vars
+}
 
+// TestRootCutsValidOnAllIntegerPoints is the safety property of the whole
+// root loop: every cut row the extended instance carries must be satisfied by
+// every integer-feasible point of the model. The model mixes <=, >= and
+// binary knapsacks so both separators fire; all 2^6 assignments are
+// enumerated.
+func TestRootCutsValidOnAllIntegerPoints(t *testing.T) {
+	m, vars := mixedKnapsackModel()
 	base, decided := compile(m, true)
 	if decided != StatusUnknown {
 		t.Fatalf("compile decided the model outright: %v", decided)
 	}
-	res := rootCutLoop(context.Background(), base, 1e-6, nil, 1)
+	res := rootCutLoop(context.Background(), base, 1e-6, nil, 1, nil)
 	if res.status != StatusOptimal {
 		t.Fatalf("root cut loop status = %v", res.status)
 	}
@@ -238,5 +244,193 @@ func TestRootCutsValidOnAllIntegerPoints(t *testing.T) {
 					r, bits, lhs, in.b[r])
 			}
 		}
+	}
+}
+
+// lpObjective is the compiled-space objective c·x at the state's vertex.
+func lpObjective(st *simplexState) float64 {
+	obj := 0.0
+	for j := 0; j < st.in.nStruct; j++ {
+		obj += st.in.c[j] * st.colValue(j)
+	}
+	return obj
+}
+
+// TestRootCutLoopWarmMatchesCold is the oracle of the warm re-solves: the
+// basis the loop hands to branch and bound must be optimal for the instance
+// it hands over, at the objective a cold solve of that instance reaches.
+// The scheduling-shaped inputs run several rounds and age cuts out, which
+// covers both warm paths: adding a round's cuts and the aging rebuild.
+func TestRootCutLoopWarmMatchesCold(t *testing.T) {
+	knap, _ := mixedKnapsackModel()
+	for _, f := range []struct {
+		name  string
+		m     *Model
+		aging bool // the input must run >= 2 rounds and age a cut out
+	}{
+		{"mixed-knapsack", knap, false},
+		{"sched-like-6x2", schedLikeLP(6, 2, false), true},
+		{"sched-like-8x3", schedLikeLP(8, 3, false), true},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			base, decided := compile(f.m, true)
+			if decided != StatusUnknown {
+				t.Fatalf("compile decided the model outright: %v", decided)
+			}
+			res := rootCutLoop(context.Background(), base, 1e-6, nil, 1, nil)
+			if res.status != StatusOptimal {
+				t.Fatalf("root cut loop status = %v", res.status)
+			}
+			if res.stats.Rounds == 0 {
+				t.Fatal("no cut round ran; the oracle checked nothing")
+			}
+			if f.aging && (res.stats.Rounds < 2 || res.stats.AgedOut == 0) {
+				t.Fatalf("ran %d rounds aging out %d cuts, want >= 2 rounds with aging",
+					res.stats.Rounds, res.stats.AgedOut)
+			}
+			if res.stats.Applied != res.in.m-base.m {
+				t.Fatalf("Applied = %d but instance carries %d cut rows",
+					res.stats.Applied, res.in.m-base.m)
+			}
+			warm := newState(res.in)
+			warm.installBasis(res.basic, res.stat)
+			if st := warm.solveWarm(); st != StatusOptimal {
+				t.Fatalf("warm re-solve from the handed basis: %v", st)
+			}
+			cold := newState(res.in)
+			if st := cold.solveCold(); st != StatusOptimal {
+				t.Fatalf("cold solve of the handed instance: %v", st)
+			}
+			w, c := lpObjective(warm), lpObjective(cold)
+			if math.Abs(w-c) > 1e-7*math.Max(1, math.Abs(c)) {
+				t.Errorf("root bound %.12g from the handed basis, cold solve %.12g", w, c)
+			}
+		})
+	}
+}
+
+// TestRootCutLoopStopsAtProvenIncumbent checks the early stop on
+// min -x-y s.t. 2x+2y <= 3 over binaries, an ObjIntegral model whose root
+// relaxation -1.5 rounds up to the optimum -1: the cut loop separates
+// nothing once the rounded root bound proves the incumbent, by the same test
+// (gapMetLocked, honouring Gap) that prunes a tree node, and the root node
+// then closes the search.
+func TestRootCutLoopStopsAtProvenIncumbent(t *testing.T) {
+	m := NewModel()
+	x := m.NewBinary("x")
+	y := m.NewBinary("y")
+	m.AddLE("cap", *NewExpr(0).Add(x, 2).Add(y, 2), 3)
+	m.SetObjective(*NewExpr(0).Add(x, -1).Add(y, -1), Minimize)
+	point := func(xv, yv float64) []float64 {
+		p := make([]float64, m.NumVars())
+		p[x.ID()], p[y.ID()] = xv, yv
+		return p
+	}
+	for _, tc := range []struct {
+		name     string
+		inc      []float64
+		gap      float64
+		cuts     bool    // whether the root loop must run cut rounds
+		wantObj  float64 // objective of the returned solution
+		wantGap  float64
+		maxNodes int
+	}{
+		// -1.5 rounds up to -1, the incumbent: proven before any cut.
+		{"proven-incumbent", point(1, 0), 0, false, -1, 0, 1},
+		// A worse incumbent leaves a gap the cuts and the tree must close.
+		{"worse-incumbent", point(0, 0), 0, true, -1, 0, 0},
+		// Gap 1 accepts incumbent 0 against bound -1, so the node test
+		// prunes the root and the loop must stop with it.
+		{"gap-met", point(0, 0), 1, false, 0, 1, 1},
+		{"gap-missed", point(0, 0), 0.99, true, -1, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sol, err := Solve(m, SolveOptions{Incumbent: tc.inc, Gap: tc.gap, ObjIntegral: true, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Status != StatusOptimal {
+				t.Fatalf("status = %v, want optimal", sol.Status)
+			}
+			if sol.Objective != tc.wantObj {
+				t.Errorf("objective = %v, want %v", sol.Objective, tc.wantObj)
+			}
+			if sol.Stats.Gap != tc.wantGap {
+				t.Errorf("gap = %v, want %v", sol.Stats.Gap, tc.wantGap)
+			}
+			cs := sol.Stats.Cuts
+			separated := cs.Gomory + cs.Cover + cs.Clique
+			if tc.cuts && (cs.Rounds == 0 || separated == 0) {
+				t.Errorf("no cut round ran (%+v), want the loop to cut", cs)
+			}
+			if !tc.cuts && (cs.Rounds != 0 || separated != 0 || cs.Applied != 0) {
+				t.Errorf("cut stats %+v, want nothing separated", cs)
+			}
+			if tc.maxNodes > 0 && sol.Nodes > tc.maxNodes {
+				t.Errorf("nodes = %d, want <= %d", sol.Nodes, tc.maxNodes)
+			}
+		})
+	}
+}
+
+// countdownCtx is a context whose Err turns non-nil after a fixed number of
+// calls. The simplex polls Err every pivot, so at Workers 1 the expiry lands
+// on the same pivot on every run.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left <= 0 {
+		return context.DeadlineExceeded
+	}
+	c.left--
+	return nil
+}
+
+// TestRootCutLoopStatsOnFailedResolve expires the context at every point of
+// the cut loop in turn. Whatever round the expiry interrupts, the returned
+// counters must describe the returned instance: Applied is the cut rows it
+// carries, a round counts only once its LP solved, and a cut counts as aged
+// only once an instance without it solved. All three therefore grow
+// monotonically with the number of polls the loop is allowed.
+func TestRootCutLoopStatsOnFailedResolve(t *testing.T) {
+	base, decided := compile(schedLikeLP(6, 2, false), true)
+	if decided != StatusUnknown {
+		t.Fatalf("compile decided the model outright: %v", decided)
+	}
+	const budget = 1 << 30
+	probe := &countdownCtx{Context: context.Background(), left: budget}
+	full := rootCutLoop(probe, base, 1e-6, nil, 1, nil)
+	polls := budget - probe.left
+	if full.stats.Rounds < 2 || full.stats.AgedOut == 0 {
+		t.Fatalf("fixture ran %d rounds aging out %d cuts; want >= 2 rounds with aging",
+			full.stats.Rounds, full.stats.AgedOut)
+	}
+	prevRounds, prevCuts := 0, 0
+	for n := 0; n <= polls; n++ {
+		res := rootCutLoop(&countdownCtx{Context: context.Background(), left: n}, base, 1e-6, nil, 1, nil)
+		cs := res.stats
+		if cs.Applied != res.in.m-base.m {
+			t.Fatalf("polls %d: Applied = %d but the instance carries %d cut rows",
+				n, cs.Applied, res.in.m-base.m)
+		}
+		// A first round cannot age a cut out (that takes cutAgeLimit idle
+		// rounds), so the instance carries cut rows exactly when a round
+		// counted, until aging could have emptied the pool again.
+		if cs.Rounds <= 1 && (cs.Rounds == 0) != (res.in == base) {
+			t.Fatalf("polls %d: %d rounds counted but the instance carries %d cut rows",
+				n, cs.Rounds, res.in.m-base.m)
+		}
+		if cs.Rounds < prevRounds || cs.Applied+cs.AgedOut < prevCuts {
+			t.Fatalf("polls %d: rounds %d and applied+aged %d fell from %d and %d",
+				n, cs.Rounds, cs.Applied+cs.AgedOut, prevRounds, prevCuts)
+		}
+		prevRounds, prevCuts = cs.Rounds, cs.Applied+cs.AgedOut
+	}
+	if prevRounds != full.stats.Rounds || prevCuts != full.stats.Applied+full.stats.AgedOut {
+		t.Errorf("unexpired sweep end: rounds %d applied+aged %d, want %d and %d",
+			prevRounds, prevCuts, full.stats.Rounds, full.stats.Applied+full.stats.AgedOut)
 	}
 }

@@ -1140,6 +1140,31 @@ func (s *simplexState) solveWarm() Status {
 	return s.dual(s.warmLimit())
 }
 
+// installBasis loads a basis snapshot — the column of every basis row and
+// every column's status — onto the state. The factorization is stale until
+// the next refactorization, which solveWarm performs first.
+func (s *simplexState) installBasis(basic []int32, stat []int8) {
+	copy(s.basic, basic)
+	copy(s.stat, stat)
+	for j := range s.pos {
+		s.pos[j] = -1
+	}
+	for i, col := range s.basic {
+		s.pos[col] = int32(i)
+	}
+}
+
+// solveRelax runs the given warm attempt and falls back to a from-scratch
+// solve when it failed numerically or stopped on its pivot budget while the
+// context is still live. The bool reports whether the warm start was used.
+func (s *simplexState) solveRelax(warmAttempt func() Status) (Status, bool) {
+	st := warmAttempt()
+	if st == statusNumFail || (st == StatusIterLimit && !s.aborted()) {
+		return s.solveCold(), false
+	}
+	return st, true
+}
+
 // extract maps the current basic solution back to model-variable space,
 // including presolve-fixed variables, clamping floating-point noise into the
 // working bounds. computeXB must reflect the final basis (both simplex loops

@@ -699,17 +699,16 @@ func buildSchedModel(g *seqgraph.Graph, opts ILPOptions, incumbent *Schedule, al
 		if opts.Pin != nil {
 			// The incumbent came from the pinned list scheduler: its binding
 			// must enter verbatim (relabeling would break the pin rows, and
-			// the symmetry rows relabeling serves are gone) and the greedy
-			// challenger knows nothing about pins.
+			// the symmetry rows relabeling serves are gone).
 			warm = pinnedWarmStart(m, g, incumbent, ts, te, assign, diff, order, storage, tE)
 		} else {
 			warm = buildWarmStart(m, g, incumbent, ts, te, assign, diff, order, storage, tE)
-			gs, ge, gdev, gmk := greedyModelSchedule(g, opts, tail)
-			gx := warmVector(m, g, gs, ge, gdev, gmk, ts, te, assign, diff, order, storage, tE)
-			if gok, gobj := milp.CheckFeasible(m, gx); gok {
-				if wok, wobj := milp.CheckFeasible(m, warm); !wok || gobj < wobj {
-					warm = gx
-				}
+		}
+		gs, ge, gdev, gmk := greedyModelSchedule(g, opts, tail)
+		gx := warmVector(m, g, gs, ge, gdev, gmk, ts, te, assign, diff, order, storage, tE)
+		if gok, gobj := milp.CheckFeasible(m, gx); gok {
+			if wok, wobj := milp.CheckFeasible(m, warm); !wok || gobj < wobj {
+				warm = gx
 			}
 		}
 	}
@@ -756,7 +755,10 @@ func mustOverlapPairs(n int, tsLo, tsHi, dur []float64, adjacent func(i, j int) 
 // charged only across devices. Unlike the storage-aware list scheduler it
 // ignores flush/fetch slots — the model has none — so it often reaches a
 // strictly better model makespan (on IVD it finds the perfect device
-// partition the paper's objective asks for).
+// partition the paper's objective asks for). Under a pin the executed prefix
+// is seeded verbatim, forbidden devices take no operation, and every device
+// first comes free at the fault instant or its last pinned end; the binding
+// then keeps its concrete device numbers, as the pin rows require.
 func greedyModelSchedule(g *seqgraph.Graph, opts ILPOptions, tail []float64) (start, end, dev []int, mk int) {
 	n := g.NumOps()
 	start = make([]int, n)
@@ -768,7 +770,23 @@ func greedyModelSchedule(g *seqgraph.Graph, opts ILPOptions, tail []float64) (st
 		indeg[i] = len(g.Parents(seqgraph.OpID(i)))
 	}
 	devFree := make([]int, opts.Devices)
-	for placed := 0; placed < n; placed++ {
+	placed := 0
+	if p := opts.Pin; p != nil {
+		for k := range devFree {
+			devFree[k] = p.Time
+		}
+		for _, a := range p.Assignments {
+			start[a.Op], end[a.Op], rawDev[a.Op] = a.Start, a.End, a.Device
+			done[a.Op] = true
+			placed++
+			devFree[a.Device] = max(devFree[a.Device], a.End)
+			mk = max(mk, a.End)
+			for _, c := range g.Children(a.Op) {
+				indeg[c]--
+			}
+		}
+	}
+	for ; placed < n; placed++ {
 		pick := -1
 		for i := 0; i < n; i++ {
 			if done[i] || indeg[i] > 0 {
@@ -780,6 +798,9 @@ func greedyModelSchedule(g *seqgraph.Graph, opts ILPOptions, tail []float64) (st
 		}
 		bestD, bestS := 0, int(^uint(0)>>1)
 		for k := 0; k < opts.Devices; k++ {
+			if opts.Pin != nil && opts.Pin.Forbidden[k] {
+				continue
+			}
 			s := devFree[k]
 			for _, p := range g.Parents(seqgraph.OpID(pick)) {
 				arr := end[p]
@@ -804,6 +825,9 @@ func greedyModelSchedule(g *seqgraph.Graph, opts ILPOptions, tail []float64) (st
 		for _, c := range g.Children(seqgraph.OpID(pick)) {
 			indeg[c]--
 		}
+	}
+	if opts.Pin != nil {
+		return start, end, rawDev, mk
 	}
 	return start, end, relabelByFirstUse(n, rawDev), mk
 }

@@ -501,6 +501,15 @@ func TestLeaseWaitCancellable(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	tk := blockWorker(t, s, ctx)
+	// Cancel only once the job is parked on the lease: a job picked up but
+	// cancelled before its first claim returns without ever waiting.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().LeaseWaits == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker job never parked on the lease")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 	if _, err := tk.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("parked job: want context.Canceled, got %v", err)
