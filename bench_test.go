@@ -292,7 +292,6 @@ func BenchmarkMILPSolver(b *testing.B) {
 	b.ReportMetric(info.Solver.WarmStartRate(), "warm_rate")
 	b.ReportMetric(float64(info.Solver.Presolve.FixedCols), "presolve_cols")
 	b.ReportMetric(float64(info.Solver.Cuts.Clique), "clique_cuts")
-	b.ReportMetric(float64(info.Solver.Cuts.LiftedCover), "lifted_covers")
 	b.ReportMetric(float64(info.Solver.SeparationWall.Microseconds())/1e3, "sep_ms")
 }
 

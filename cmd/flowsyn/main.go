@@ -167,8 +167,8 @@ func main() {
 				sv.FillRatio, sv.PropagationTightenings, sv.PropagationPrunes)
 		}
 		if sv.CutsSeparated > 0 || sv.PseudoCostInits > 0 || sv.HeuristicIncumbents > 0 || sv.ReducedCostFixings > 0 {
-			fmt.Printf("cut-and-branch: %d cuts separated (%d rounds, %d clique, %d lifted covers, sep %v), %d applied, %d aged out | %d pseudo-cost probes, %d heuristic + %d local-branching incumbents, %d reduced-cost fixings\n",
-				sv.CutsSeparated, sv.CutRounds, sv.CliqueCuts, sv.LiftedCovers,
+			fmt.Printf("cut-and-branch: %d cuts separated (%d rounds, %d clique, sep %v), %d applied, %d aged out | %d pseudo-cost probes, %d heuristic + %d local-branching incumbents, %d reduced-cost fixings\n",
+				sv.CutsSeparated, sv.CutRounds, sv.CliqueCuts,
 				sv.SeparationWall.Round(time.Microsecond),
 				sv.CutsApplied, sv.CutsAgedOut,
 				sv.PseudoCostInits, sv.HeuristicIncumbents, sv.LocalBranchingIncumbents,

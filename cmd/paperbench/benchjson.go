@@ -71,10 +71,8 @@ type benchSolver struct {
 	FullPricingPivots int `json:"full_pricing_pivots"`
 
 	// Storage-side dual-gap diagnostics (PR 8): conflict-graph clique cuts,
-	// lifted cover cuts, local-branching incumbents and the parallel
-	// separation wall-clock.
+	// local-branching incumbents and the parallel separation wall-clock.
 	CliqueCuts        int     `json:"clique_cuts"`
-	LiftedCovers      int     `json:"lifted_covers"`
 	LocalBranchIncumb int     `json:"local_branching_incumbents"`
 	SeparationWallMS  float64 `json:"separation_wall_ms"`
 }
@@ -310,7 +308,6 @@ func runBenchJSON(ctx context.Context, path, assays, notes, strategies string) e
 					FullPricingPivots: sv.FullPricingPivots,
 
 					CliqueCuts:        sv.CliqueCuts,
-					LiftedCovers:      sv.LiftedCovers,
 					LocalBranchIncumb: sv.LocalBranchingIncumbents,
 					SeparationWallMS:  float64(sv.SeparationWall.Microseconds()) / 1e3,
 				}

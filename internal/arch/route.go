@@ -376,15 +376,6 @@ func (r *router) shortestTree(src NodeID, w interval, allowDevice NodeID, banEdg
 	return dist, predEdge, predNode
 }
 
-func containsEdge(list []EdgeID, e EdgeID) bool {
-	for _, x := range list {
-		if x == e {
-			return true
-		}
-	}
-	return false
-}
-
 func reverseNodes(in []NodeID) []NodeID {
 	out := make([]NodeID, len(in))
 	for i, n := range in {

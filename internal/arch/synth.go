@@ -405,166 +405,3 @@ func countValves(g Grid, edges []EdgeID, isDevice map[NodeID]bool) int {
 	}
 	return n
 }
-
-// Validate checks the structural invariants of a synthesis result: paths are
-// connected node/edge alternations on the grid, every route's resources are
-// used edges, storage segments exist for stored tasks, and no two
-// simultaneously-live paths share a resource (re-checked from scratch,
-// independently of the router's bookkeeping).
-func (r *Result) Validate() error {
-	used := r.UsedEdgeSet()
-	checkPath := func(nodes []NodeID, edges []EdgeID) error {
-		if len(nodes) != len(edges)+1 {
-			return fmt.Errorf("arch: path has %d nodes for %d edges", len(nodes), len(edges))
-		}
-		for i, e := range edges {
-			if r.Grid.EdgeBetween(nodes[i], nodes[i+1]) != e {
-				return fmt.Errorf("arch: path edge %d does not join consecutive nodes", e)
-			}
-			if !used[e] {
-				return fmt.Errorf("arch: path uses edge %d missing from UsedEdges", e)
-			}
-		}
-		return nil
-	}
-
-	type claim struct {
-		w    interval
-		desc string
-	}
-	edgeClaims := make(map[EdgeID][]claim)
-	nodeClaims := make(map[NodeID][]claim)
-
-	for i, route := range r.Routes {
-		t := route.Task
-		if t.Kind == sched.Direct {
-			if route.StorageEdge != -1 {
-				return fmt.Errorf("arch: direct route %d carries a storage edge", i)
-			}
-			if len(route.OutNodes) == 0 {
-				return fmt.Errorf("arch: direct route %d is empty", i)
-			}
-			if err := checkPath(route.OutNodes, route.OutEdges); err != nil {
-				return err
-			}
-			w := interval{t.Depart, t.Arrive}
-			for _, e := range route.OutEdges {
-				edgeClaims[e] = append(edgeClaims[e], claim{w, fmt.Sprintf("direct %d", i)})
-			}
-			for _, n := range route.OutNodes {
-				if !r.IsDeviceNode(n) {
-					nodeClaims[n] = append(nodeClaims[n], claim{w, fmt.Sprintf("direct %d", i)})
-				}
-			}
-			continue
-		}
-		if t.Unit {
-			// A unit-stored fluid claims no channel segment while resident:
-			// the store leg ends at the unit node and the fetch leg departs
-			// from it, each occupying only its own transport window.
-			if route.StorageEdge != -1 {
-				return fmt.Errorf("arch: unit route %d carries a storage edge", i)
-			}
-			if r.StorageUnit < 0 {
-				return fmt.Errorf("arch: unit route %d but no storage unit placed", i)
-			}
-			if err := checkPath(route.OutNodes, route.OutEdges); err != nil {
-				return err
-			}
-			if err := checkPath(route.FetchNodes, route.FetchEdges); err != nil {
-				return err
-			}
-			if route.OutNodes[len(route.OutNodes)-1] != r.StorageUnit {
-				return fmt.Errorf("arch: unit route %d store leg does not reach the unit", i)
-			}
-			if route.FetchNodes[0] != r.StorageUnit {
-				return fmt.Errorf("arch: unit route %d fetch leg does not start at the unit", i)
-			}
-			outW := interval{t.OutStart, t.OutEnd}
-			fetchW := interval{t.FetchStart, t.FetchEnd}
-			for _, e := range route.OutEdges {
-				edgeClaims[e] = append(edgeClaims[e], claim{outW, fmt.Sprintf("out %d", i)})
-			}
-			for _, n := range route.OutNodes {
-				if !r.IsDeviceNode(n) {
-					nodeClaims[n] = append(nodeClaims[n], claim{outW, fmt.Sprintf("out %d", i)})
-				}
-			}
-			for _, e := range route.FetchEdges {
-				edgeClaims[e] = append(edgeClaims[e], claim{fetchW, fmt.Sprintf("fetch %d", i)})
-			}
-			for _, n := range route.FetchNodes {
-				if !r.IsDeviceNode(n) {
-					nodeClaims[n] = append(nodeClaims[n], claim{fetchW, fmt.Sprintf("fetch %d", i)})
-				}
-			}
-			continue
-		}
-		if route.StorageEdge < 0 || !used[route.StorageEdge] {
-			return fmt.Errorf("arch: stored route %d lacks a storage edge", i)
-		}
-		if err := checkPath(route.OutNodes, route.OutEdges); err != nil {
-			return err
-		}
-		if err := checkPath(route.FetchNodes, route.FetchEdges); err != nil {
-			return err
-		}
-		// Out path must end at an endpoint of the storage edge; fetch path
-		// must start at one.
-		u, v := r.Grid.Endpoints(route.StorageEdge)
-		outEnd := route.OutNodes[len(route.OutNodes)-1]
-		fetchStart := route.FetchNodes[0]
-		if outEnd != u && outEnd != v {
-			return fmt.Errorf("arch: stored route %d move-out does not reach its storage segment", i)
-		}
-		if fetchStart != u && fetchStart != v {
-			return fmt.Errorf("arch: stored route %d fetch does not start at its storage segment", i)
-		}
-		outW := interval{t.OutStart, t.OutEnd}
-		cacheW := interval{t.OutEnd, t.FetchStart}
-		fetchW := interval{t.FetchStart, t.FetchEnd}
-		for _, e := range route.OutEdges {
-			edgeClaims[e] = append(edgeClaims[e], claim{outW, fmt.Sprintf("out %d", i)})
-		}
-		for _, n := range route.OutNodes {
-			if !r.IsDeviceNode(n) {
-				nodeClaims[n] = append(nodeClaims[n], claim{outW, fmt.Sprintf("out %d", i)})
-			}
-		}
-		for _, w := range []interval{outW, cacheW, fetchW} {
-			edgeClaims[route.StorageEdge] = append(edgeClaims[route.StorageEdge],
-				claim{w, fmt.Sprintf("cache %d", i)})
-		}
-		for _, e := range route.FetchEdges {
-			edgeClaims[e] = append(edgeClaims[e], claim{fetchW, fmt.Sprintf("fetch %d", i)})
-		}
-		for _, n := range route.FetchNodes {
-			if !r.IsDeviceNode(n) {
-				nodeClaims[n] = append(nodeClaims[n], claim{fetchW, fmt.Sprintf("fetch %d", i)})
-			}
-		}
-	}
-
-	conflict := func(claims []claim, kind string, id int) error {
-		for a := 0; a < len(claims); a++ {
-			for b := a + 1; b < len(claims); b++ {
-				if claims[a].desc != claims[b].desc && overlaps(claims[a].w, claims[b].w) {
-					return fmt.Errorf("arch: %s %d shared by %s and %s in overlapping windows",
-						kind, id, claims[a].desc, claims[b].desc)
-				}
-			}
-		}
-		return nil
-	}
-	for e, claims := range edgeClaims {
-		if err := conflict(claims, "edge", int(e)); err != nil {
-			return err
-		}
-	}
-	for n, claims := range nodeClaims {
-		if err := conflict(claims, "node", int(n)); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -2,7 +2,6 @@ package arch
 
 import (
 	"testing"
-	"testing/quick"
 
 	"flowsyn/internal/assay"
 	"flowsyn/internal/sched"
@@ -32,40 +31,6 @@ func synthesizeBenchmark(t *testing.T, name string) (*Result, *sched.Schedule) {
 		t.Fatalf("%s: %v", name, err)
 	}
 	return res, s
-}
-
-func TestSynthesizeAllBenchmarks(t *testing.T) {
-	for _, name := range assay.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			res, s := synthesizeBenchmark(t, name)
-			if err := res.Validate(); err != nil {
-				t.Fatalf("invalid architecture: %v", err)
-			}
-			wantRoutes := len(s.Tasks())
-			wantPorts := 0
-			if assay.MustGet(name).ModelIO {
-				wantRoutes += len(s.IOTasks(s.Devices, s.Devices+1))
-				wantPorts = 2
-			}
-			if len(res.Routes) != wantRoutes {
-				t.Errorf("routes = %d, tasks = %d", len(res.Routes), wantRoutes)
-			}
-			if res.Ports != wantPorts || len(res.DevicePos) != s.Devices+wantPorts {
-				t.Errorf("expected %d I/O ports, got %d (placements %d)", wantPorts, res.Ports, len(res.DevicePos))
-			}
-			if res.NumEdges == 0 && len(s.Tasks()) > 0 {
-				t.Error("no edges used despite transport tasks")
-			}
-			// Fig 8: all ratios strictly below 1.
-			if res.EdgeRatio >= 1 || res.ValveRatio >= 1 {
-				t.Errorf("ratios not below 1: edge %.2f valve %.2f", res.EdgeRatio, res.ValveRatio)
-			}
-			if res.NumEdges > res.Grid.NumEdges() {
-				t.Error("more used edges than grid edges")
-			}
-		})
-	}
 }
 
 func TestExpectedTasksMatchesRoutedWorkload(t *testing.T) {
@@ -118,20 +83,6 @@ func TestValveAccounting(t *testing.T) {
 	}
 	if res.NumValves <= 0 {
 		t.Errorf("no valves counted")
-	}
-}
-
-func TestPlacementStrategies(t *testing.T) {
-	s, b := scheduleFor(t, "RA30")
-	grid, _ := NewGrid(b.GridRows, b.GridCols)
-	for _, strat := range []PlacementStrategy{CommWeighted, RowMajor} {
-		res, err := Synthesize(s, grid, Options{Strategy: strat})
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
-		}
-		if err := res.Validate(); err != nil {
-			t.Errorf("%v: %v", strat, err)
-		}
 	}
 }
 
@@ -227,29 +178,5 @@ func TestSwitchesExcludeDevices(t *testing.T) {
 		if res.IsDeviceNode(sw) {
 			t.Errorf("switch list contains device node %d", sw)
 		}
-	}
-}
-
-// TestSynthesizeRandomProperty: random schedules on random grids synthesize
-// into valid, conflict-free architectures.
-func TestSynthesizeRandomProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		g := assay.Random(8+int(seed%13+13)%13, 3, seed)
-		s, err := sched.ListSchedule(g, sched.ListOptions{Devices: 3, Transport: 10, Mode: sched.TimeAndStorage})
-		if err != nil {
-			return false
-		}
-		grid, err := NewGrid(4, 4)
-		if err != nil {
-			return false
-		}
-		res, err := Synthesize(s, grid, Options{})
-		if err != nil {
-			return false
-		}
-		return res.Validate() == nil
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
 	}
 }

@@ -70,8 +70,6 @@ type Options struct {
 	Engine Engine
 	// ILPTimeLimit caps the exact scheduler (zero: 30 s).
 	ILPTimeLimit time.Duration
-	// Placement selects the device-placement strategy.
-	Placement arch.PlacementStrategy
 	// ModelIO routes reagent loading and product unloading through chip
 	// boundary ports during architectural synthesis.
 	ModelIO bool
@@ -80,8 +78,6 @@ type Options struct {
 	// invariant checker (internal/verify), including the simulator
 	// cross-check. A violation fails the synthesis with a *verify.Error.
 	Verify bool
-	// Phys sets the physical design rules.
-	Phys phys.Options
 	// Warm, if non-nil, is a prior schedule of this (possibly edited) assay.
 	// The exact engines feed it to the MILP as an additional warm-start
 	// candidate after re-timing (sched.Retime); the heuristic engine races
@@ -365,9 +361,6 @@ func (r *Result) solverSummary(withService bool) string {
 	}
 	if c := info.Solver.Cuts; c.Gomory+c.Cover+c.Clique > 0 {
 		s += fmt.Sprintf(", cuts %dg/%dc/%dq (%d kept", c.Gomory, c.Cover, c.Clique, c.Applied)
-		if c.LiftedCover > 0 {
-			s += fmt.Sprintf(", %d lifted", c.LiftedCover)
-		}
 		if c.AgedOut > 0 {
 			s += fmt.Sprintf(", %d aged", c.AgedOut)
 		}

@@ -31,7 +31,7 @@ func TestSynthesizePCREndToEnd(t *testing.T) {
 	if err := res.Schedule.Validate(); err != nil {
 		t.Error(err)
 	}
-	if err := res.Architecture.Validate(); err != nil {
+	if err := verify.Check(res.Schedule, res.Architecture).Err(); err != nil {
 		t.Error(err)
 	}
 	if res.Physical.Compressed.Area() <= 0 {
@@ -65,7 +65,7 @@ func TestSynthesizeAllBenchmarksHeuristic(t *testing.T) {
 			if res.SchedInfo != nil {
 				t.Error("heuristic engine should not report ILP info")
 			}
-			if err := res.Architecture.Validate(); err != nil {
+			if err := verify.Check(res.Schedule, res.Architecture).Err(); err != nil {
 				t.Error(err)
 			}
 			// Simulator and dedicated baseline must work off the result.
@@ -222,7 +222,7 @@ func TestTimeOnlyMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Architecture.Validate(); err != nil {
+	if err := verify.Check(res.Schedule, res.Architecture).Err(); err != nil {
 		t.Error(err)
 	}
 }

@@ -262,7 +262,7 @@ func TestRecoverVerifyChecksStrategy(t *testing.T) {
 	// The recovered plan caches two fluids in channel segments at once, one
 	// more than a single-slot cache holds.
 	tight := storage.Config{Policy: storage.Hybrid, CacheSlots: 1}
-	if verify.CheckStrategy(rec.Schedule, storage.New(tight)).Err() == nil {
+	if _, err := verify.CheckAllStrategy(rec.Schedule, rec.Architecture, storage.New(tight)); err == nil {
 		t.Fatal("fixture no longer exceeds a one-slot cache")
 	}
 	wantStrategyViolation := func(err error) {

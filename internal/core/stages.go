@@ -249,10 +249,7 @@ func runArchStage(ctx context.Context, st *stageState) error {
 	if err != nil {
 		return err
 	}
-	archOpts := arch.Options{
-		Strategy: st.opts.Placement,
-		ModelIO:  st.opts.ModelIO,
-	}
+	archOpts := arch.Options{ModelIO: st.opts.ModelIO}
 	if rc := st.rec; rc != nil {
 		archOpts.FixedPlacement = append([]arch.NodeID(nil), rc.prior.Architecture.DevicePos...)
 		archOpts.PinnedRoutes = rc.prefix.Routes
@@ -273,7 +270,7 @@ func runPhysStage(ctx context.Context, st *stageState) error {
 		return err
 	}
 	var err error
-	st.res.Physical, err = phys.Compute(st.res.Architecture, st.opts.Phys)
+	st.res.Physical, err = phys.Compute(st.res.Architecture, phys.Options{})
 	return err
 }
 

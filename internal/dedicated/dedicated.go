@@ -56,35 +56,6 @@ type Result struct {
 	Starts []int
 }
 
-// intervalList tracks booked port windows in non-decreasing grant order.
-type intervalList struct {
-	windows [][2]int
-}
-
-// grant books the earliest window of the given length starting at or after
-// t, returning its start time. Booking order follows simulation order, so a
-// simple scan suffices.
-func (l *intervalList) grant(t, length int) int {
-	if length <= 0 {
-		return t
-	}
-	for {
-		conflict := false
-		for _, w := range l.windows {
-			if t < w[1] && w[0] < t+length {
-				conflict = true
-				if w[1] > t {
-					t = w[1]
-				}
-			}
-		}
-		if !conflict {
-			l.windows = append(l.windows, [2]int{t, t + length})
-			return t
-		}
-	}
-}
-
 // Execute re-times the given schedule as if all cached fluids lived in a
 // dedicated storage unit: same binding, same per-device operation order,
 // but every store and every fetch is a full-u_c transport that must win the
@@ -125,7 +96,7 @@ func Execute(s *sched.Schedule) (*Result, error) {
 		return order[a] < order[b]
 	})
 
-	var prt intervalList
+	var prt sched.PortTimeline
 	res := &Result{Starts: make([]int, n)}
 	deviceFree := make([]int, s.Devices)
 	lastOp := make([]seqgraph.OpID, s.Devices)
@@ -176,7 +147,7 @@ func Execute(s *sched.Schedule) (*Result, error) {
 				}
 			}
 			if direct < 0 {
-				grantT := prt.grant(end[last], uc)
+				grantT := prt.Grant(end[last], uc)
 				res.PortBusy += uc
 				res.QueueDelay += grantT - end[last]
 				res.Accesses++
@@ -208,7 +179,7 @@ func Execute(s *sched.Schedule) (*Result, error) {
 			if earliest < start {
 				earliest = start
 			}
-			grantT := prt.grant(earliest, uc)
+			grantT := prt.Grant(earliest, uc)
 			res.PortBusy += uc
 			res.QueueDelay += grantT - earliest
 			res.Accesses++

@@ -96,15 +96,15 @@ func TestCompareRatiosBelowOne(t *testing.T) {
 }
 
 func TestPortSerialization(t *testing.T) {
-	var l intervalList
-	a := l.grant(0, 10)
-	b := l.grant(0, 10)
-	c := l.grant(5, 10)
+	var l sched.PortTimeline
+	a := l.Grant(0, 10)
+	b := l.Grant(0, 10)
+	c := l.Grant(5, 10)
 	if a != 0 || b != 10 || c != 20 {
 		t.Errorf("grants = %d,%d,%d; want 0,10,20", a, b, c)
 	}
 	// Zero-length grants are free.
-	if l.grant(3, 0) != 3 {
+	if l.Grant(3, 0) != 3 {
 		t.Error("zero-length grant should return its requested time")
 	}
 }

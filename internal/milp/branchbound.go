@@ -29,8 +29,6 @@ type SolveOptions struct {
 	Incumbent []float64
 	// IntFeasTol is the integrality tolerance; defaults to 1e-6.
 	IntFeasTol float64
-	// Logger, if non-nil, receives periodic progress lines.
-	Logger func(format string, args ...any)
 	// OnIncumbent, if non-nil, is invoked whenever the search installs an
 	// improving integral incumbent — including the initial Incumbent warm
 	// start — with a copy of the assignment (indexed by Var.ID), its
@@ -268,7 +266,7 @@ func SolveContext(ctx context.Context, m *Model, opts SolveOptions) (*Solution, 
 	}
 
 	// Root cutting planes: tighten the relaxation with Gomory mixed-integer,
-	// lifted cover, and conflict-clique cuts before any branching. The cut
+	// cover, and conflict-clique cuts before any branching. The cut
 	// loop also hands back the root optimum's basis, so the root node
 	// warm-starts like any other. Separation stops as soon as the root bound
 	// proves the incumbent by the same test that prunes a tree node: the
@@ -1011,9 +1009,6 @@ func (w *bbWorker) foundIncumbent(x []float64, lb float64) bool {
 	if lb < sh.bestObj-1e-9 {
 		sh.bestObj = lb
 		sh.best = x
-		if w.opts.Logger != nil {
-			w.opts.Logger("milp: incumbent %.6g at node %d", w.dirSign*lb, sh.nodes)
-		}
 		if w.opts.OnIncumbent != nil {
 			w.opts.OnIncumbent(append([]float64(nil), x...), w.dirSign*lb, sh.nodes)
 		}

@@ -186,60 +186,3 @@ func TestCliqueCutsValidOnAllIntegerPoints(t *testing.T) {
 		}
 	}
 }
-
-// TestLiftedCoverValidOnAllIntegerPoints mirrors the same property for the
-// lifted-cover family: on 3a+3b+3c+4d <= 8 the LP optimum (1, 1, 2/3, 0)
-// yields the cover {a,b,c} and d lifts with gamma=1 (mu_1 = 3 <= 4 < 6 =
-// mu_2), so a+b+c+d <= 2 must hold at every feasible assignment — d=1 leaves
-// capacity for at most one cover member.
-func TestLiftedCoverValidOnAllIntegerPoints(t *testing.T) {
-	m := NewModel()
-	vars := make([]Var, 4)
-	for i := range vars {
-		vars[i] = m.NewBinary("x")
-	}
-	m.AddLE("knap", *NewExpr(0).
-		Add(vars[0], 3).Add(vars[1], 3).Add(vars[2], 3).Add(vars[3], 4), 8)
-	obj := NewExpr(0)
-	for i, c := range []float64{-3, -3, -2, -1} {
-		obj.Add(vars[i], c)
-	}
-	m.SetObjective(*obj, Minimize)
-
-	base, decided := compile(m, true)
-	if decided != StatusUnknown {
-		t.Fatalf("compile decided the model outright: %v", decided)
-	}
-	res := rootCutLoop(context.Background(), base, 1e-6, nil, 1, nil)
-	if res.status != StatusOptimal {
-		t.Fatalf("root cut loop status = %v", res.status)
-	}
-	if res.stats.LiftedCover == 0 {
-		t.Fatal("no lifted cover separated; the property test checked nothing")
-	}
-
-	in := res.in
-	point := make([]float64, m.NumVars())
-	for bits := 0; bits < 1<<4; bits++ {
-		for i := range vars {
-			point[vars[i].ID()] = float64(bits >> i & 1)
-		}
-		if ok, _ := checkFeasible(m, point, 1e-6); !ok {
-			continue
-		}
-		for r := base.m; r < in.m; r++ {
-			lhs := 0.0
-			for p := in.rowPtr[r]; p < in.rowPtr[r+1]; p++ {
-				j := int(in.rowCol[p])
-				if j >= in.nStruct {
-					t.Fatalf("cut row %d touches non-structural column %d", r, j)
-				}
-				lhs += in.rowVal[p] * point[in.colVar[j]]
-			}
-			if lhs > in.b[r]+1e-6 {
-				t.Errorf("cut row %d cuts off integer-feasible point %04b: %g > %g",
-					r, bits, lhs, in.b[r])
-			}
-		}
-	}
-}

@@ -48,9 +48,6 @@ type cutRow struct {
 	// idle counts consecutive resolve rounds with positive slack; the pool
 	// retires the cut at cutAgeLimit.
 	idle int
-	// lifted marks a cover cut that carries at least one lifted non-cover
-	// coefficient (for the LiftedCover counter).
-	lifted bool
 }
 
 // violation returns coef·x - rhs at the structural point x (positive means
@@ -73,9 +70,6 @@ type CutStats struct {
 	Gomory int
 	// Cover counts knapsack-cover cuts separated.
 	Cover int
-	// LiftedCover counts the subset of Cover cuts that carried at least one
-	// sequence-independent lifted coefficient on a non-cover column.
-	LiftedCover int
 	// Clique counts conflict-graph clique cuts separated.
 	Clique int
 	// Applied is the number of cut rows the branch-and-bound instance
@@ -122,7 +116,6 @@ type cutSeparator struct {
 	mark  []bool    // which dense entries are live
 	live  []int32
 	items []coverItem // cover-separation scratch
-	mu    []float64   // lifting function: mu[h] = sum of h largest cover coefs
 }
 
 func newCutSeparator(in *instance) *cutSeparator {
@@ -320,21 +313,13 @@ func (cs *cutSeparator) gomoryFromRow(st *simplexState, r int, x []float64) *cut
 	return cs.harvest(rhsGE, x)
 }
 
-// coverFromRow separates a (lifted) knapsack-cover cut from base row i, or
-// nil. The row's <= view (a >= row is negated; other relations are skipped)
-// is relaxed to a pure-binary knapsack: a non-binary column contributes its
+// coverFromRow separates a knapsack-cover cut from base row i, or nil. The
+// row's <= view (a >= row is negated; other relations are skipped) is
+// relaxed to a pure-binary knapsack: a non-binary column contributes its
 // minimum feasible amount, moved to the right-hand side (rows where that
 // minimum is unbounded are skipped); negative binary coefficients are
 // complemented (y = 1-x) to reach sum a_j·z_j <= b', a_j > 0. A greedy
-// minimal cover C (sum exceeding b') yields sum_C z_j <= |C|-1, which is
-// then strengthened sequence-independently: with mu_h the sum of the h
-// largest cover coefficients (capped at Sigma_C), a non-cover item of
-// weight a gets coefficient gamma = max{h : mu_h <= a}. Validity: take
-// lifted items T and S ⊆ C feasible together. mu is subadditive
-// (mu_{g+h} <= mu_g + mu_h), so sum_T a >= mu_G with G = sum_T gamma, and
-// sum_S a >= Sigma_C - mu_{|C|-|S|}. If G + |S| >= |C| the knapsack load is
-// >= mu_G + Sigma_C - mu_G = Sigma_C > b', a contradiction — so
-// G + |S| <= |C|-1 holds at every integer point.
+// minimal cover C (sum exceeding b') yields sum_C z_j <= |C|-1.
 func (cs *cutSeparator) coverFromRow(i int, x []float64) *cutRow {
 	in := cs.in
 	slack := in.nStruct + i
@@ -405,8 +390,7 @@ func (cs *cutSeparator) coverFromRow(i int, x []float64) *cutRow {
 	if weight <= bprime+1e-9 {
 		return nil
 	}
-	// Shrink to a minimal cover, swapping removed members past the end so
-	// they rejoin the lifting pool.
+	// Shrink to a minimal cover.
 	for k := size - 1; k >= 0 && size > 1; k-- {
 		if weight-items[k].a > bprime+1e-9 {
 			weight -= items[k].a
@@ -415,47 +399,17 @@ func (cs *cutSeparator) coverFromRow(i int, x []float64) *cutRow {
 		}
 	}
 	cover := items[:size]
-	// Lifting function mu over the cover (mu[h] = sum of h largest coefs,
-	// mu[size] = Sigma_C covers items heavier than every cover member).
-	cs.mu = append(cs.mu[:0], 0)
-	sort.Slice(cover, func(a, b int) bool { return cover[a].a > cover[b].a })
-	for _, it := range cover {
-		cs.mu = append(cs.mu, cs.mu[len(cs.mu)-1]+it.a)
-	}
 	lhs := 0.0
 	for _, it := range cover {
 		lhs += it.z
 	}
-	// Lift every non-cover item with gamma = max{h : mu_h <= a}.
-	cs.reset()
-	rhs := float64(size - 1)
-	lifted := false
-	for _, it := range items[size:] {
-		gamma := 0
-		for h := 1; h < len(cs.mu); h++ {
-			if cs.mu[h] <= it.a+1e-9 {
-				gamma = h
-			} else {
-				break
-			}
-		}
-		if gamma == 0 {
-			continue
-		}
-		lifted = true
-		lhs += float64(gamma) * it.z
-		if it.comp {
-			cs.add(it.col, -float64(gamma))
-			rhs -= float64(gamma)
-		} else {
-			cs.add(it.col, float64(gamma))
-		}
-	}
 	if lhs <= float64(size-1)+cutMinEfficacy {
 		return nil // not violated
 	}
-	// sum_C z + sum gamma·z <= |C|-1, un-complemented: complemented members
-	// contribute (1 - x_j).
+	// sum_C z <= |C|-1, un-complemented: complemented members contribute
+	// (1 - x_j).
+	cs.reset()
+	rhs := float64(size - 1)
 	for _, it := range cover {
 		if it.comp {
 			cs.add(it.col, -1)
@@ -465,7 +419,7 @@ func (cs *cutSeparator) coverFromRow(i int, x []float64) *cutRow {
 		}
 	}
 	sort.Slice(cs.live, func(a, b int) bool { return cs.live[a] < cs.live[b] })
-	cut := &cutRow{rhs: rhs, lifted: lifted}
+	cut := &cutRow{rhs: rhs}
 	n2 := 0.0
 	for _, j := range cs.live {
 		cut.cols = append(cut.cols, j)
@@ -635,7 +589,7 @@ func carryBasis(base *instance, st *simplexState, prev, next []*cutRow) (basic [
 
 // rootCutLoop runs the separate-apply-resolve loop at the root: solve the
 // relaxation, derive Gomory mixed-integer cuts from the fractional basis
-// rows, lifted cover cuts from the knapsack row views, and clique cuts from
+// rows, cover cuts from the knapsack row views, and clique cuts from
 // the conflict graph, screen them, extend the instance, and resolve, until
 // no violated cut remains, the bound tails off, the round cap hits, or
 // proven (when non-nil) reports that the current relaxation already proves
@@ -801,11 +755,6 @@ func rootCutLoop(ctx context.Context, base *instance, intTol float64, conflicts 
 		res.stats.Gomory += len(gmi)
 		fresh = append(fresh, covers...)
 		res.stats.Cover += len(covers)
-		for _, c := range covers {
-			if c.lifted {
-				res.stats.LiftedCover++
-			}
-		}
 		sort.Slice(cliques, func(a, b int) bool {
 			ea := cliques[a].violation(x) / cliques[a].norm
 			eb := cliques[b].violation(x) / cliques[b].norm

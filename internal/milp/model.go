@@ -177,20 +177,10 @@ func (m *Model) NewContinuous(name string, lo, hi float64) Var {
 	return m.NewVar(name, lo, hi, Continuous)
 }
 
-// VarName returns the name given to v at creation.
-func (m *Model) VarName(v Var) string { return m.vars[v.id].name }
-
 // Bounds returns the lower and upper bound of v.
 func (m *Model) Bounds(v Var) (lo, hi float64) {
 	d := m.vars[v.id]
 	return d.lo, d.hi
-}
-
-// SetBounds replaces the bounds of v. It is used by branch and bound to
-// branch without copying the whole model.
-func (m *Model) SetBounds(v Var, lo, hi float64) {
-	m.vars[v.id].lo = lo
-	m.vars[v.id].hi = hi
 }
 
 // Type returns the variable type of v.

@@ -5,10 +5,10 @@ import (
 )
 
 // sepAllocsPerRoundRef is the checked-in allocations-per-round figure of one
-// full separation sweep (Gomory + lifted cover + clique) on the
+// full separation sweep (Gomory + cover + clique) on the
 // scheduling-shaped fixture, measured with persistent separators. The
 // remaining allocations are the returned cutRow values themselves; the
-// scratch buffers (dense accumulator, cover items, lifting mu, conflict
+// scratch buffers (dense accumulator, cover items, conflict
 // val/ord/mask) are reused across rounds. The smoke test fails when a change
 // doubles the figure — the regression mode this guards is a separator that
 // silently goes back to allocating its scratch per round.

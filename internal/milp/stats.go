@@ -83,7 +83,7 @@ type SolveStats struct {
 	// propagation alone, pruned before their LP relaxation was ever solved.
 	PropagationPrunes int
 	// Cuts reports the root cutting-plane loop: Gomory mixed-integer,
-	// (lifted) cover, and conflict-clique cuts separated, rows finally
+	// cover, and conflict-clique cuts separated, rows finally
 	// applied, and cuts retired by activity-based aging.
 	Cuts CutStats
 	// SeparationWall is the wall-clock time spent inside the root

@@ -50,11 +50,6 @@ func TestMILPParallelStatsCoherent(t *testing.T) {
 				t.Errorf("applied %d cuts but only %d+%d+%d separated",
 					st.Cuts.Applied, st.Cuts.Gomory, st.Cuts.Cover, st.Cuts.Clique)
 			}
-			// Lifted covers are the subset of cover cuts that carried a lifted
-			// coefficient; they can never outnumber the covers themselves.
-			if st.Cuts.LiftedCover > st.Cuts.Cover {
-				t.Errorf("lifted covers %d > covers %d", st.Cuts.LiftedCover, st.Cuts.Cover)
-			}
 			if st.SeparationWall < 0 {
 				t.Errorf("SeparationWall = %v, want >= 0", st.SeparationWall)
 			}
@@ -67,7 +62,6 @@ func TestMILPParallelStatsCoherent(t *testing.T) {
 				"PropagationPrunes":        st.PropagationPrunes,
 				"CutsAgedOut":              st.Cuts.AgedOut,
 				"CliqueCuts":               st.Cuts.Clique,
-				"LiftedCovers":             st.Cuts.LiftedCover,
 			} {
 				if v < 0 {
 					t.Errorf("%s = %d, want >= 0", name, v)

@@ -243,9 +243,19 @@ func TestTasksExtraction(t *testing.T) {
 	}
 }
 
+// TestCapacityProfileConsistent checks StorageCapacity's event sweep against
+// a per-second count of cached fluids over [0, makespan].
 func TestCapacityProfileConsistent(t *testing.T) {
 	s := manualPCR(t, []string{"o1", "o2", "o3", "o4", "o6", "o5", "o7"}, 10)
-	prof := s.CapacityProfile()
+	prof := make([]int, s.Makespan+1)
+	for _, task := range s.Tasks() {
+		if task.Kind != Stored {
+			continue
+		}
+		for x := task.OutEnd; x < task.FetchStart && x < len(prof); x++ {
+			prof[x]++
+		}
+	}
 	max := 0
 	for _, v := range prof {
 		if v > max {

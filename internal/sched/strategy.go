@@ -45,30 +45,24 @@ type UnitWindow struct {
 	StoreStart, FetchStart int
 }
 
-// modelUsesUnit reports whether the model routes any storage through the
-// dedicated unit (i.e. the scheduler must grant port windows).
-func modelUsesUnit(m StorageModel) bool {
-	return m != nil && m.Serialized()
-}
-
 // modelIsDistributed reports whether the model behaves exactly like the
 // paper's distributed channel storage (the bit-identical fast path).
 func modelIsDistributed(m StorageModel) bool {
 	return m == nil || (!m.Serialized() && m.ChannelSlots() < 0)
 }
 
-// portTimeline books exclusive windows on the dedicated unit's single port.
+// PortTimeline books exclusive windows on the dedicated unit's single port.
 // Windows are granted earliest-fit in booking order; ties between a store and
 // a fetch requested at the same instant therefore serialize deterministically
-// in the order the scheduler processes them.
-type portTimeline struct {
+// in the order the caller books them. The zero value is an idle port.
+type PortTimeline struct {
 	windows [][2]int
 }
 
-// grant books the earliest free window of the given length starting at or
+// Grant books the earliest free window of the given length starting at or
 // after t and returns its start. The result is independent of the internal
 // window order (the scan restarts until no conflict remains).
-func (l *portTimeline) grant(t, length int) int {
+func (l *PortTimeline) Grant(t, length int) int {
 	if length <= 0 {
 		return t
 	}
@@ -92,10 +86,10 @@ func (l *portTimeline) grant(t, length int) int {
 // peekPair returns the store/fetch grants a stored edge departing at t would
 // receive, without booking them. fetchFloor is the earliest instant the fetch
 // may begin (the chamber-readiness bound; see storageState.fetchStartFloor).
-func (l *portTimeline) peekPair(t, length, fetchFloor int) (gs, gf int) {
-	scratch := portTimeline{windows: append([][2]int(nil), l.windows...)}
-	gs = scratch.grant(t, length)
-	gf = scratch.grant(max(gs+length, fetchFloor), length)
+func (l *PortTimeline) peekPair(t, length, fetchFloor int) (gs, gf int) {
+	scratch := PortTimeline{windows: append([][2]int(nil), l.windows...)}
+	gs = scratch.Grant(t, length)
+	gf = scratch.Grant(max(gs+length, fetchFloor), length)
 	return gs, gf
 }
 
@@ -119,7 +113,7 @@ type channelResident struct {
 type storageState struct {
 	model      StorageModel
 	uc         int
-	port       portTimeline
+	port       PortTimeline
 	windows    map[seqgraph.Edge]UnitWindow
 	residents  []channelResident
 	queueDelay int
@@ -226,9 +220,9 @@ func (st *storageState) demoteVictim(from, to int) bool {
 		if gf+st.uc > r.fetchStart {
 			continue // cannot re-serve this fluid through the port in time
 		}
-		gs = st.port.grant(r.depart, st.uc)
+		gs = st.port.Grant(r.depart, st.uc)
 		floor := st.fetchStartFloor(gs, r.hint)
-		gf = st.port.grant(floor, st.uc)
+		gf = st.port.Grant(floor, st.uc)
 		st.windows[r.edge] = UnitWindow{StoreStart: gs, FetchStart: gf}
 		st.queueDelay += (gs - r.depart) + (gf - floor)
 		st.residents = append(st.residents[:i], st.residents[i+1:]...)
@@ -312,9 +306,9 @@ func (st *storageState) commitParent(p parentPlan, startHint int) parentPlan {
 		}
 	}
 	if p.unit {
-		gs := st.port.grant(p.depart, st.uc)
+		gs := st.port.Grant(p.depart, st.uc)
 		floor := st.fetchStartFloor(gs, p.hint)
-		gf := st.port.grant(floor, st.uc)
+		gf := st.port.Grant(floor, st.uc)
 		st.windows[p.edge] = UnitWindow{StoreStart: gs, FetchStart: gf}
 		st.queueDelay += (gs - p.depart) + (gf - floor)
 		p.arrival = gf + st.uc
@@ -364,9 +358,9 @@ func (st *storageState) commitResidents(plans []parentPlan, start int) int {
 				again = true
 				continue
 			}
-			gs := st.port.grant(p.depart, st.uc)
+			gs := st.port.Grant(p.depart, st.uc)
 			floor := st.fetchStartFloor(gs, p.hint)
-			gf := st.port.grant(floor, st.uc)
+			gf := st.port.Grant(floor, st.uc)
 			st.windows[p.edge] = UnitWindow{StoreStart: gs, FetchStart: gf}
 			st.queueDelay += (gs - p.depart) + (gf - floor)
 			p.unit = true

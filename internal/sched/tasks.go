@@ -320,12 +320,25 @@ func (s *Schedule) StoreCount() int {
 // the required capacity of a storage system for this schedule (three for the
 // paper's Fig. 2(b) schedule, two for Fig. 2(c)).
 func (s *Schedule) StorageCapacity() int {
+	return s.storagePeak(func(Task) bool { return true })
+}
+
+// UnitCells returns the peak number of fluids resident in the dedicated
+// storage unit simultaneously — the cell count its mux must address. Zero
+// for distributed schedules and for strategy schedules that never stored.
+func (s *Schedule) UnitCells() int {
+	return s.storagePeak(func(t Task) bool { return t.Unit })
+}
+
+// storagePeak returns the peak number of stored fluids that keep selects
+// cached at once.
+func (s *Schedule) storagePeak(keep func(Task) bool) int {
 	type event struct {
 		t, delta int
 	}
 	var evs []event
 	for _, t := range s.Tasks() {
-		if t.Kind != Stored {
+		if t.Kind != Stored || !keep(t) {
 			continue
 		}
 		evs = append(evs, event{t.OutEnd, +1}, event{t.FetchStart, -1})
@@ -344,60 +357,4 @@ func (s *Schedule) StorageCapacity() int {
 		}
 	}
 	return max
-}
-
-// UnitCells returns the peak number of fluids resident in the dedicated
-// storage unit simultaneously — the cell count its mux must address. Zero
-// for distributed schedules and for strategy schedules that never stored.
-func (s *Schedule) UnitCells() int {
-	return s.storagePeak(func(t Task) bool { return t.Unit })
-}
-
-// ChannelPeak returns the peak number of fluids cached in channel segments
-// simultaneously (excluding the dedicated unit) — the quantity a hybrid
-// strategy's slot bound constrains.
-func (s *Schedule) ChannelPeak() int {
-	return s.storagePeak(func(t Task) bool { return !t.Unit })
-}
-
-func (s *Schedule) storagePeak(keep func(Task) bool) int {
-	type event struct {
-		t, delta int
-	}
-	var evs []event
-	for _, t := range s.Tasks() {
-		if t.Kind != Stored || !keep(t) {
-			continue
-		}
-		evs = append(evs, event{t.OutEnd, +1}, event{t.FetchStart, -1})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
-		}
-		return evs[i].delta < evs[j].delta
-	})
-	cur, max := 0, 0
-	for _, e := range evs {
-		cur += e.delta
-		if cur > max {
-			max = cur
-		}
-	}
-	return max
-}
-
-// CapacityProfile returns the number of cached fluids at each second from 0
-// to the makespan (inclusive); index t holds the count during [t, t+1).
-func (s *Schedule) CapacityProfile() []int {
-	prof := make([]int, s.Makespan+1)
-	for _, t := range s.Tasks() {
-		if t.Kind != Stored {
-			continue
-		}
-		for x := t.OutEnd; x < t.FetchStart && x < len(prof); x++ {
-			prof[x]++
-		}
-	}
-	return prof
 }

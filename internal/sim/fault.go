@@ -89,13 +89,6 @@ func (f Fault) Validate(s *sched.Schedule, res *arch.Result) error {
 	return nil
 }
 
-// Inject adds a fault to the simulator: snapshots at or after the fault's
-// detection instant render the failed resource (Failed/Degraded segment
-// states, FailedDevices), so Timeline animations show the faulted chip.
-func (sim *Simulator) Inject(f Fault) {
-	sim.faults = append(sim.faults, f)
-}
-
 // Prefix is the frozen part of an execution cut at a fault instant: the work
 // a fault cannot undo, extracted for the recovery path to pin.
 type Prefix struct {

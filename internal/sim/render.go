@@ -59,10 +59,6 @@ func RenderASCII(res *arch.Result, snap *Snapshot) string {
 				ch = '='
 			case Caching:
 				ch = '#'
-			case Failed:
-				ch = 'x'
-			case Degraded:
-				ch = '~'
 			}
 			for x := x0; x <= x1+1; x++ {
 				canvas[y][x] = ch
@@ -76,10 +72,6 @@ func RenderASCII(res *arch.Result, snap *Snapshot) string {
 				c = '!'
 			case Caching:
 				c = '#'
-			case Failed:
-				c = 'x'
-			case Degraded:
-				c = '~'
 			}
 			for y := y0; y <= y1; y++ {
 				if y < h {
@@ -149,10 +141,6 @@ func RenderSVG(res *arch.Result, snap *Snapshot) string {
 			color, width = "#1f77d0", 6
 		case Caching:
 			color, width = "#e07b1f", 6
-		case Failed:
-			color, width = "#d01f1f", 6
-		case Degraded:
-			color, width = "#b08db0", 5
 		}
 		fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" stroke-width="%d"/>`,
 			x1, y1, x2, y2, color, width)

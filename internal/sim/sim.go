@@ -24,12 +24,6 @@ const (
 	Transporting
 	// Caching means the segment holds a stored fluid (distributed storage).
 	Caching
-	// Failed means the segment's valve pair broke (an injected FaultChannel):
-	// nothing may move through or be stored on it from the fault on.
-	Failed
-	// Degraded means the segment still transports but can no longer hold a
-	// cached sample (an injected FaultStorage).
-	Degraded
 )
 
 // String names the state.
@@ -41,10 +35,6 @@ func (s SegmentState) String() string {
 		return "transporting"
 	case Caching:
 		return "caching"
-	case Failed:
-		return "failed"
-	case Degraded:
-		return "degraded"
 	default:
 		return "unused"
 	}
@@ -54,7 +44,6 @@ func (s SegmentState) String() string {
 type Simulator struct {
 	res     *arch.Result
 	sched   *sched.Schedule
-	faults  []Fault
 	horizon int
 }
 
@@ -80,7 +69,7 @@ type Snapshot struct {
 	Time int
 	// OutOfRange marks snapshots taken before the execution starts (t < 0)
 	// or after it fully drains (t > Horizon()): the segment map is still
-	// rendered (all idle, faults applied) but carries no execution state, and
+	// rendered (all idle) but carries no execution state, and
 	// callers should not mistake it for a quiet moment mid-run.
 	OutOfRange bool
 	// Segment maps every grid edge to its state at Time.
@@ -94,16 +83,14 @@ type Snapshot struct {
 	// UnitSamples counts fluids resident in the dedicated storage unit at
 	// Time (always zero for distributed-strategy schedules).
 	UnitSamples int
-	// FailedDevices lists devices failed by injected faults at Time.
-	FailedDevices []int
 }
 
 // Horizon is the instant the chip fully drains: the schedule makespan
 // extended by any route still moving fluid past it (with boundary I/O
 // modeled, the last product's move-out completes after its operation — and
-// with it the makespan — ends). Utilization and Timeline integrate to the
-// horizon, not the makespan, so those tail seconds are neither lost in
-// animations nor silently diluted out of the utilization denominator.
+// with it the makespan — ends). Utilization integrates to the horizon, not
+// the makespan, so those tail seconds are not silently diluted out of its
+// denominator.
 func (sim *Simulator) Horizon() int { return sim.horizon }
 
 // At computes the chip state at time t.
@@ -180,31 +167,6 @@ func (sim *Simulator) At(t int) *Snapshot {
 		}
 	}
 	sort.Strings(snap.RunningOps)
-	// Injected faults overlay the replayed state from their detection
-	// instant on: a failed segment shows Failed whatever the original plan
-	// had it doing, a degraded one shows Degraded unless fluid is actively
-	// moving through it (it still transports, it just cannot hold a cache).
-	for _, f := range sim.faults {
-		if t < f.Time {
-			continue
-		}
-		switch f.Kind {
-		case FaultDevice:
-			snap.FailedDevices = append(snap.FailedDevices, f.Device)
-		case FaultChannel:
-			if _, built := snap.Segment[f.Edge]; built {
-				snap.Segment[f.Edge] = Failed
-			}
-		case FaultStorage:
-			if st, built := snap.Segment[f.Edge]; built && st != Transporting {
-				if st == Caching {
-					snap.CachedSamples--
-				}
-				snap.Segment[f.Edge] = Degraded
-			}
-		}
-	}
-	sort.Ints(snap.FailedDevices)
 	return snap
 }
 
@@ -278,21 +240,6 @@ func (sim *Simulator) Utilization() *Utilization {
 		u.MeanUtilization = float64(total) / float64(len(sim.res.UsedEdges)*u.Horizon)
 	}
 	return u
-}
-
-// Timeline returns snapshots at every multiple of step across the execution
-// (always including t=0), for animations and reports. It spans the full
-// drain horizon, so executions whose boundary I/O outlives the makespan are
-// animated to the end instead of being cut off mid-transport.
-func (sim *Simulator) Timeline(step int) []*Snapshot {
-	if step < 1 {
-		step = 1
-	}
-	var out []*Snapshot
-	for t, h := 0, sim.Horizon(); t <= h; t += step {
-		out = append(out, sim.At(t))
-	}
-	return out
 }
 
 // InterestingTimes returns the moments when caching activity changes — good

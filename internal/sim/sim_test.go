@@ -106,18 +106,6 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestTimeline(t *testing.T) {
-	sim, s, _ := simulatorFor(t, "PCR")
-	tl := sim.Timeline(50)
-	if len(tl) != s.Makespan/50+1 {
-		t.Errorf("timeline length = %d, want %d", len(tl), s.Makespan/50+1)
-	}
-	tl1 := sim.Timeline(0) // step clamps to 1
-	if len(tl1) != s.Makespan+1 {
-		t.Errorf("unit timeline length = %d, want %d", len(tl1), s.Makespan+1)
-	}
-}
-
 func TestRenderASCII(t *testing.T) {
 	sim, _, res := simulatorFor(t, "RA30")
 	var caching *Snapshot

@@ -14,16 +14,15 @@
 //     of the unit, with pluggable eviction (LRU or earliest-next-fetch);
 //     overflow and evictions go to the unit.
 //
-// A Strategy implements sched.StorageModel, so both scheduling engines plan
-// storage through it; architecture synthesis, verification and the bench
-// matrix consume the same Strategy for placement, invariants and costs.
+// New builds the sched.StorageModel of a Config, so both scheduling engines
+// plan storage through it; architecture synthesis and verification read the
+// same model for unit placement and the strategy invariants.
 package storage
 
 import (
 	"fmt"
 	"strings"
 
-	"flowsyn/internal/dedicated"
 	"flowsyn/internal/sched"
 )
 
@@ -148,94 +147,38 @@ func (c Config) slots() int {
 	return c.CacheSlots
 }
 
-// Strategy is one storage policy, plugged into scheduling (via
-// sched.StorageModel: candidate generation and per-instant occupancy
-// accounting happen inside the engines through that interface), plus the
-// cost-model surface the rest of the pipeline needs: store/fetch journey
-// cost and valve-cost accounting.
-type Strategy interface {
-	sched.StorageModel
-
-	// Config returns the configuration the strategy was built from.
-	Config() Config
-	// UsesUnit reports whether schedules under this strategy may route
-	// fluids through the dedicated unit (and architectures must place one).
-	UsesUnit() bool
-	// StoreFetchCost returns the minimum seconds a stored fluid spends in
-	// transit between producer and consumer under this strategy, given
-	// transport time u_c: 2·u_c through the unit's port, u_c through a
-	// channel segment.
-	StoreFetchCost(transport int) int
-	// UnitValves returns the valve cost of a dedicated unit holding the
-	// given number of cells (0 when the strategy has no unit, or for zero
-	// cells: no fluid ever resided, so no unit is instantiated).
-	UnitValves(cells int) int
+// New builds the storage model of a config. Unknown policies fall back to
+// distributed channel storage (callers wanting errors use Config.Validate).
+func New(c Config) sched.StorageModel {
+	if c.Policy != Dedicated && c.Policy != Hybrid {
+		c.Policy = Distributed
+	}
+	return strategy{cfg: c}
 }
 
-// New builds the strategy for a config. Invalid configs fall back to their
-// nearest valid interpretation (callers wanting errors use Config.Validate).
-func New(c Config) Strategy {
-	switch c.Policy {
+// strategy is one storage policy as the scheduling engines see it:
+// distributed channel storage has unlimited channel slots and no port, the
+// dedicated unit has zero slots behind its serialized port, and the hybrid
+// cache has a bounded number of slots in front of the unit.
+type strategy struct{ cfg Config }
+
+func (s strategy) Name() string     { return s.cfg.Policy.String() }
+func (s strategy) Serialized() bool { return s.cfg.Policy != Distributed }
+
+func (s strategy) ChannelSlots() int {
+	switch s.cfg.Policy {
 	case Dedicated:
-		return dedicatedStrategy{cfg: c}
+		return 0
 	case Hybrid:
-		return hybridStrategy{cfg: c}
+		return s.cfg.slots()
 	default:
-		return distributedStrategy{cfg: c}
+		return -1
 	}
 }
 
-// distributedStrategy is the paper's distributed channel storage: unlimited
-// channel slots, no unit, no extra valves. Its StorageModel keeps both
-// engines on their historical bit-identical code path.
-type distributedStrategy struct{ cfg Config }
-
-func (distributedStrategy) Name() string              { return "distributed" }
-func (distributedStrategy) Serialized() bool          { return false }
-func (distributedStrategy) ChannelSlots() int         { return -1 }
-func (distributedStrategy) EvictionName() string      { return "" }
-func (s distributedStrategy) Config() Config          { return s.cfg }
-func (distributedStrategy) UsesUnit() bool            { return false }
-func (distributedStrategy) StoreFetchCost(uc int) int { return uc }
-func (distributedStrategy) UnitValves(int) int        { return 0 }
-
-// dedicatedStrategy stores every fluid in the dedicated unit: zero channel
-// slots, all accesses serialized through the unit's port.
-type dedicatedStrategy struct{ cfg Config }
-
-func (dedicatedStrategy) Name() string              { return "dedicated" }
-func (dedicatedStrategy) Serialized() bool          { return true }
-func (dedicatedStrategy) ChannelSlots() int         { return 0 }
-func (dedicatedStrategy) EvictionName() string      { return "" }
-func (s dedicatedStrategy) Config() Config          { return s.cfg }
-func (dedicatedStrategy) UsesUnit() bool            { return true }
-func (dedicatedStrategy) StoreFetchCost(uc int) int { return 2 * uc }
-func (dedicatedStrategy) UnitValves(cells int) int {
-	if cells < 1 {
-		return 0
+func (s strategy) EvictionName() string {
+	if s.cfg.Policy == Hybrid {
+		return s.cfg.Eviction.String()
 	}
-	return dedicated.UnitValves(cells)
-}
-
-// hybridStrategy caches fluids in a bounded set of channel segments and
-// overflows (or evicts) into the dedicated unit.
-type hybridStrategy struct{ cfg Config }
-
-func (hybridStrategy) Name() string           { return "hybrid" }
-func (hybridStrategy) Serialized() bool       { return true }
-func (s hybridStrategy) ChannelSlots() int    { return s.cfg.slots() }
-func (s hybridStrategy) EvictionName() string { return s.cfg.Eviction.String() }
-func (s hybridStrategy) Config() Config       { return s.cfg }
-func (hybridStrategy) UsesUnit() bool         { return true }
-func (hybridStrategy) StoreFetchCost(uc int) int {
-	// Best case a cache hit (one channel journey); the worst case pays the
-	// unit's 2·u_c. Planning uses the optimistic bound; the schedulers
-	// charge the real cost per placement.
-	return uc
-}
-func (hybridStrategy) UnitValves(cells int) int {
-	if cells < 1 {
-		return 0
-	}
-	return dedicated.UnitValves(cells)
+	return ""
 }

@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"testing"
-
-	"flowsyn/internal/dedicated"
-)
+import "testing"
 
 func TestParsePolicy(t *testing.T) {
 	cases := map[string]Policy{
@@ -99,22 +95,20 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestStrategyContracts pins the per-policy surface both schedulers and the
-// architecture stage rely on: serialization, slot bounds, unit usage, journey
-// costs and valve accounting.
+// architecture stage rely on: name, port serialization and channel slot
+// bounds.
 func TestStrategyContracts(t *testing.T) {
-	const uc = 10
 	cases := []struct {
 		cfg        Config
 		name       string
 		serialized bool
 		slots      int
-		usesUnit   bool
-		cost       int
 	}{
-		{Config{}, "distributed", false, -1, false, uc},
-		{Config{Policy: Dedicated}, "dedicated", true, 0, true, 2 * uc},
-		{Config{Policy: Hybrid}, "hybrid", true, DefaultCacheSlots, true, uc},
-		{Config{Policy: Hybrid, CacheSlots: 4}, "hybrid", true, 4, true, uc},
+		{Config{}, "distributed", false, -1},
+		{Config{Policy: Policy(7)}, "distributed", false, -1},
+		{Config{Policy: Dedicated}, "dedicated", true, 0},
+		{Config{Policy: Hybrid}, "hybrid", true, DefaultCacheSlots},
+		{Config{Policy: Hybrid, CacheSlots: 4}, "hybrid", true, 4},
 	}
 	for _, c := range cases {
 		s := New(c.cfg)
@@ -126,27 +120,6 @@ func TestStrategyContracts(t *testing.T) {
 		}
 		if s.ChannelSlots() != c.slots {
 			t.Errorf("%s: ChannelSlots() = %d, want %d", c.cfg.Key(), s.ChannelSlots(), c.slots)
-		}
-		if s.UsesUnit() != c.usesUnit {
-			t.Errorf("%s: UsesUnit() = %v, want %v", c.cfg.Key(), s.UsesUnit(), c.usesUnit)
-		}
-		if got := s.StoreFetchCost(uc); got != c.cost {
-			t.Errorf("%s: StoreFetchCost(%d) = %d, want %d", c.cfg.Key(), uc, got, c.cost)
-		}
-		if s.Config() != c.cfg {
-			t.Errorf("%s: Config() does not round-trip", c.cfg.Key())
-		}
-		// Zero residents never instantiate a unit; positive cell counts
-		// delegate to the shared mux-tree model for unit-backed strategies.
-		if got := s.UnitValves(0); got != 0 {
-			t.Errorf("%s: UnitValves(0) = %d, want 0", c.cfg.Key(), got)
-		}
-		want := 0
-		if c.usesUnit {
-			want = dedicated.UnitValves(4)
-		}
-		if got := s.UnitValves(4); got != want {
-			t.Errorf("%s: UnitValves(4) = %d, want %d", c.cfg.Key(), got, want)
 		}
 	}
 }

@@ -148,12 +148,6 @@ func (ac *Accounting) UnitAt(t int) int {
 	return n
 }
 
-// StatesAt recomputes the role of every built channel segment at time t,
-// plus the number of cached fluids. One-shot convenience around Accounting.
-func StatesAt(a *arch.Result, t int) (states map[arch.EdgeID]SegmentRole, cached int) {
-	return NewAccounting(a).At(t)
-}
-
 // Horizon returns the last instant at which anything can still be live on
 // the chip: the makespan, extended by transports that outlive it (e.g.
 // product unloading).

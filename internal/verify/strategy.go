@@ -8,7 +8,7 @@ import (
 	"flowsyn/internal/sched"
 )
 
-// CheckStrategy re-derives the storage-strategy invariants of a schedule from
+// checkStrategy re-derives the storage-strategy invariants of a schedule from
 // first principles, given the storage model it was synthesized under:
 //
 //   - distributed: no fluid may touch the dedicated unit — no unit tasks, no
@@ -26,16 +26,6 @@ import (
 //
 // Like the rest of this package it trusts no engine bookkeeping: the unit
 // workload is re-derived from the schedule's tasks, not from UnitWindows.
-func CheckStrategy(s *sched.Schedule, m sched.StorageModel) *Report {
-	r := &Report{}
-	if s == nil {
-		r.addf(InvStorageStrategy, "no schedule to check")
-		return r
-	}
-	r.checkStrategy(s, m)
-	return r
-}
-
 func (r *Report) checkStrategy(s *sched.Schedule, m sched.StorageModel) {
 	g := s.Graph
 	distributed := m == nil || (!m.Serialized() && m.ChannelSlots() < 0)

@@ -316,14 +316,15 @@ func TestStatesAtMatchesLifecycle(t *testing.T) {
 	}
 	tk := stored.Task
 	mid := (tk.OutEnd + tk.FetchStart) / 2
-	states, cached := verify.StatesAt(a, mid)
+	ac := verify.NewAccounting(a)
+	states, cached := ac.At(mid)
 	if states[stored.StorageEdge] != verify.RoleCaching {
 		t.Errorf("storage segment is %v mid-cache, want caching", states[stored.StorageEdge])
 	}
 	if cached == 0 {
 		t.Error("no cached fluid counted mid-cache")
 	}
-	states, _ = verify.StatesAt(a, tk.OutStart)
+	states, _ = ac.At(tk.OutStart)
 	if len(stored.OutEdges) > 0 && states[stored.OutEdges[0]] != verify.RoleTransporting {
 		t.Errorf("move-out segment is %v at departure, want transporting", states[stored.OutEdges[0]])
 	}

@@ -115,10 +115,8 @@ type SolverStats struct {
 	// carried, and CutsAgedOut the cuts retired by activity-based aging
 	// before the tree search.
 	CutsSeparated, CutsApplied, CutsAgedOut int
-	// CliqueCuts counts the conflict-graph clique cuts within CutsSeparated;
-	// LiftedCovers counts the cover cuts that carried at least one lifted
-	// non-cover coefficient.
-	CliqueCuts, LiftedCovers int
+	// CliqueCuts counts the conflict-graph clique cuts within CutsSeparated.
+	CliqueCuts int
 	// CutRounds is the number of separate-apply-resolve rounds at the root.
 	CutRounds int
 	// SeparationWall is the wall-clock time spent separating cuts at the
@@ -178,7 +176,6 @@ func (r *Result) SolverStats() *SolverStats {
 		CutsApplied:              info.Solver.Cuts.Applied,
 		CutsAgedOut:              info.Solver.Cuts.AgedOut,
 		CliqueCuts:               info.Solver.Cuts.Clique,
-		LiftedCovers:             info.Solver.Cuts.LiftedCover,
 		CutRounds:                info.Solver.Cuts.Rounds,
 		SeparationWall:           info.Solver.SeparationWall,
 		PseudoCostInits:          info.Solver.PseudoCostInits,
