@@ -69,6 +69,11 @@ func main() {
 	)
 	switch {
 	case *benchmark != "":
+		set := make(map[string]bool)
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if err := checkBenchmarkFlags(set); err != nil {
+			log.Fatal(err)
+		}
 		a, opts, err = flowsyn.Benchmark(*benchmark)
 		if err != nil {
 			log.Fatal(err)
@@ -257,6 +262,19 @@ func main() {
 }
 
 // gapString renders a relative MIP gap, with -1 meaning no bound survived.
+// checkBenchmarkFlags rejects -devices, -transport and -grid when set
+// explicitly next to -benchmark: a benchmark runs at its Table 2 parameters,
+// so those flags would be ignored. set holds the names of the flags given on
+// the command line.
+func checkBenchmarkFlags(set map[string]bool) error {
+	for _, name := range []string{"devices", "transport", "grid"} {
+		if set[name] {
+			return fmt.Errorf("-%s cannot be combined with -benchmark, which runs at its Table 2 parameters", name)
+		}
+	}
+	return nil
+}
+
 func gapString(g float64) string {
 	if g < 0 {
 		return "n/a"

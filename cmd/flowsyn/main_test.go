@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"flowsyn"
@@ -44,5 +45,32 @@ func TestGapString(t *testing.T) {
 	}
 	if s := gapString(0.051); s != "5.10%" {
 		t.Errorf("gapString(0.051) = %q", s)
+	}
+}
+
+func TestCheckBenchmarkFlags(t *testing.T) {
+	cases := []struct {
+		set  []string
+		want string // flag the error must name; "" for no error
+	}{
+		{nil, ""},
+		{[]string{"benchmark", "gantt", "storage", "time-only"}, ""},
+		{[]string{"benchmark", "devices"}, "-devices"},
+		{[]string{"benchmark", "transport"}, "-transport"},
+		{[]string{"benchmark", "grid"}, "-grid"},
+		{[]string{"benchmark", "grid", "devices", "transport"}, "-devices"},
+	}
+	for _, c := range cases {
+		set := make(map[string]bool)
+		for _, name := range c.set {
+			set[name] = true
+		}
+		err := checkBenchmarkFlags(set)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%v: unexpected error %v", c.set, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want+" ")):
+			t.Errorf("%v: error %v, want one naming %s", c.set, err, c.want)
+		}
 	}
 }

@@ -313,9 +313,10 @@ func (r *Result) Summary() string {
 		r.Physical.AfterDevices,
 		r.Physical.Compressed,
 	)
-	// The service fragment (queue wait, cache provenance) is deliberately
-	// excluded here: Summary is the deterministic paper-table line, byte
-	// identical for one result however it was produced or served.
+	// The wall-clock fragments (separation time, queue wait) and the cache
+	// provenance are deliberately excluded here: Summary is the deterministic
+	// paper-table line, byte identical for one result however it was
+	// produced or served.
 	if sv := r.solverSummary(false); sv != "" {
 		s += " | " + sv
 	}
@@ -366,7 +367,8 @@ func (r *Result) solverSummary(withService bool) string {
 		}
 		s += ")"
 	}
-	if w := info.Solver.SeparationWall; w > 0 {
+	// Separation wall time is wall-clock, so only SolverSummary carries it.
+	if w := info.Solver.SeparationWall; withService && w > 0 {
 		s += fmt.Sprintf(", sep %s", w.Round(time.Microsecond))
 	}
 	if info.Solver.PseudoCostInits > 0 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flowsyn/internal/assay"
+	"flowsyn/internal/milp"
 	"flowsyn/internal/sched"
 	"flowsyn/internal/verify"
 )
@@ -224,5 +225,37 @@ func TestTimeOnlyMode(t *testing.T) {
 	}
 	if err := verify.Check(res.Schedule, res.Architecture).Err(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSummaryIgnoresSeparationWall: two results that differ only in the
+// solver's wall-clock separation time render the same Summary; only
+// SolverSummary reports the time.
+func TestSummaryIgnoresSeparationWall(t *testing.T) {
+	b := assay.MustGet("PCR")
+	res, err := Synthesize(b.Graph, Options{
+		Devices:   b.Devices,
+		Transport: b.Transport,
+		GridRows:  b.GridRows,
+		GridCols:  b.GridCols,
+		Engine:    Heuristic,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withWall := func(d time.Duration) *Result {
+		r := *res
+		info := sched.ILPInfo{Status: milp.StatusOptimal}
+		info.Solver.SeparationWall = d
+		info.Solver.Cuts.Gomory = 1
+		r.SchedInfo = &info
+		return &r
+	}
+	a, c := withWall(419*time.Microsecond), withWall(388*time.Microsecond)
+	if a.Summary() != c.Summary() {
+		t.Errorf("Summary depends on the separation wall time:\n%s\n%s", a.Summary(), c.Summary())
+	}
+	if !strings.Contains(a.SolverSummary(), "sep 419µs") {
+		t.Errorf("SolverSummary %q lacks the separation wall time", a.SolverSummary())
 	}
 }
