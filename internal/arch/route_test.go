@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flowsyn/internal/sched"
+	"flowsyn/internal/seqgraph"
 )
 
 func TestOccupancyReserveAndRelease(t *testing.T) {
@@ -140,5 +141,27 @@ func TestSpanAndTaskStart(t *testing.T) {
 	s := sched.Task{Kind: sched.Stored, OutStart: 2, FetchEnd: 20}
 	if span(s) != (interval{2, 20}) || taskStart(s) != 2 {
 		t.Error("stored span wrong")
+	}
+}
+
+// TestILPMatchesHeuristicEdgeCount: one transport on an empty grid has the
+// architecture ILP's optimum in closed form, a shortest path of Manhattan
+// length, and the heuristic router must find it.
+func TestILPMatchesHeuristicEdgeCount(t *testing.T) {
+	grid, _ := NewGrid(2, 3)
+	fixed := []NodeID{grid.Node(0, 0), grid.Node(0, 2)}
+	task := sched.Task{
+		Edge: seqgraph.Edge{Parent: 0, Child: 1},
+		From: 0, To: 1,
+		Kind:   sched.Direct,
+		Depart: 0, Arrive: 10,
+	}
+	r := newRouter(grid, fixed, -1, Options{ReuseCost: 10, NewCost: 30})
+	route, err := r.routeDirect(0, task, fixed[0], fixed[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := grid.Manhattan(fixed[0], fixed[1]); len(route.OutEdges) != want {
+		t.Errorf("heuristic path %d edges, exact optimum %d", len(route.OutEdges), want)
 	}
 }
