@@ -24,7 +24,8 @@ import (
 // bound-flipping dual ratio test, and RINS/diving node heuristics — lifted
 // it to 30 (BENCH_pr6.json). The storage-side dual-bound program — fixed
 // diff rows and conflict-graph clique cuts from must-overlap operation
-// pairs, and local branching around the incumbent — lifts it to 40; BENCH_pr8.json records the seeded random-DAG gap closure.
+// pairs, and local branching around the incumbent — lifts it to 40;
+// BENCH_pr8.json records the seeded random-DAG gap closure.
 const MaxExactOps = 40
 
 // ILPOptions configures the exact scheduling-and-binding formulation.

@@ -14,9 +14,9 @@
 //     of the unit, with pluggable eviction (LRU or earliest-next-fetch);
 //     overflow and evictions go to the unit.
 //
-// New builds the sched.StorageModel of a Config, so both scheduling engines
-// plan storage through it; architecture synthesis and verification read the
-// same model for unit placement and the strategy invariants.
+// New builds the sched.StorageModel of a Config: both scheduling engines plan
+// storage through it, and verification checks the strategy invariants
+// against it.
 package storage
 
 import (
