@@ -280,36 +280,9 @@ func (s *server) submitResponse(rec *jobRecord) map[string]any {
 }
 
 func (s *server) submit(req jobRequest) (*jobRecord, int, error) {
-	var (
-		a    *flowsyn.Assay
-		opts flowsyn.Options
-		err  error
-	)
-	switch {
-	case req.Benchmark != "" && len(req.Assay) > 0:
-		return nil, http.StatusBadRequest, errors.New("set either benchmark or assay, not both")
-	case req.Benchmark != "":
-		a, opts, err = flowsyn.Benchmark(req.Benchmark)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-	case len(req.Assay) > 0:
-		a, err = flowsyn.ReadAssay(bytes.NewReader(req.Assay))
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-	default:
-		return nil, http.StatusBadRequest, errors.New("missing assay: set benchmark or assay")
-	}
-	if opts, err = req.Options.apply(opts); err != nil {
+	job, err := req.job()
+	if err != nil {
 		return nil, http.StatusBadRequest, err
-	}
-	job := flowsyn.Job{
-		Name:     req.Name,
-		Assay:    a,
-		Options:  opts,
-		Tenant:   req.Tenant,
-		Priority: req.Priority,
 	}
 	if req.DeadlineMS > 0 {
 		job.Deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
@@ -319,6 +292,42 @@ func (s *server) submit(req jobRequest) (*jobRecord, int, error) {
 		return nil, submitErrorStatus(err), err
 	}
 	return s.track(ticket), 0, nil
+}
+
+// job resolves the request's assay and options into a job, without its
+// deadline.
+func (req jobRequest) job() (flowsyn.Job, error) {
+	var (
+		a    *flowsyn.Assay
+		opts flowsyn.Options
+		err  error
+	)
+	switch {
+	case req.Benchmark != "" && len(req.Assay) > 0:
+		return flowsyn.Job{}, errors.New("set either benchmark or assay, not both")
+	case req.Benchmark != "":
+		a, opts, err = flowsyn.Benchmark(req.Benchmark)
+		if err != nil {
+			return flowsyn.Job{}, err
+		}
+	case len(req.Assay) > 0:
+		a, err = flowsyn.ReadAssay(bytes.NewReader(req.Assay))
+		if err != nil {
+			return flowsyn.Job{}, err
+		}
+	default:
+		return flowsyn.Job{}, errors.New("missing assay: set benchmark or assay")
+	}
+	if opts, err = req.Options.apply(opts); err != nil {
+		return flowsyn.Job{}, err
+	}
+	return flowsyn.Job{
+		Name:     req.Name,
+		Assay:    a,
+		Options:  opts,
+		Tenant:   req.Tenant,
+		Priority: req.Priority,
+	}, nil
 }
 
 func submitErrorStatus(err error) int {

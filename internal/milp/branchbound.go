@@ -331,7 +331,7 @@ func SolveContext(ctx context.Context, m *Model, opts SolveOptions) (*Solution, 
 			w := &bbWorker{
 				sh: sh, in: in, m: m, obj: obj, opts: opts,
 				dirSign: dirSign, intVars: intVars, id: wid,
-				st: newState(in), prio: prio,
+				st: getState(in), prio: prio,
 			}
 			w.st.ctx = solveCtx
 			w.run()
@@ -346,6 +346,9 @@ func SolveContext(ctx context.Context, m *Model, opts SolveOptions) (*Solution, 
 	stats.WarmStarts = sh.warm
 	stats.ColdStarts = sh.cold
 	stats.Factor = sh.factor
+	// The cut loop's counters join the workers'; Kernel keeps naming the
+	// branch-and-bound kernel, which the workers merged first.
+	stats.Factor.merge(cutRes.factor)
 	stats.PropagationTightenings = sh.propTighten
 	stats.PropagationPrunes = sh.propPrune
 	stats.PseudoCostInits = sh.pcInits
@@ -481,6 +484,10 @@ func (w *bbWorker) run() {
 			sh.fullPivots += w.heur.fullPivots
 		}
 		sh.mu.Unlock()
+		statePool.Put(w.st)
+		if w.heur != nil {
+			statePool.Put(w.heur)
+		}
 	}()
 	for {
 		sh.mu.Lock()

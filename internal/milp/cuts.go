@@ -535,15 +535,18 @@ type cutLoopResult struct {
 	iters   int // simplex pivots spent cutting
 	incr    int // of which incrementally priced
 	full    int
+	factor  FactorStats   // kernel counters of every LP the loop solved
 	sepWall time.Duration // wall time inside the separation block
 	status  Status
 }
 
-// addIters accumulates one simplex state's pivot counters into the result.
-func (r *cutLoopResult) addIters(st *simplexState) {
+// addSolve accumulates the pivot and kernel counters of one simplex state,
+// which has just solved its only LP, into the result.
+func (r *cutLoopResult) addSolve(st *simplexState) {
 	r.iters += st.iters
 	r.incr += st.incrPivots
 	r.full += st.fullPivots
+	r.factor.merge(st.fac.snapshot())
 }
 
 // keep records st, an optimal state on in, as the loop's current outcome.
@@ -595,7 +598,10 @@ func carryBasis(base *instance, st *simplexState, prev, next []*cutRow) (basic [
 // proven (when non-nil) reports that the current relaxation already proves
 // the incumbent. Aging retires cuts that go slack in later rounds. Every
 // re-solve starts warm from the previous round's basis (carryBasis) and
-// falls back to a cold solve by solveRelax's rule. The three families
+// falls back to a cold solve by solveRelax's rule. The loop holds at most
+// two simplex states, the current one and the re-solve's, and returns each
+// to statePool once it is replaced, so a round resets the state its
+// predecessor replaced instead of building one. The three families
 // separate concurrently when workers > 1 (the Gomory family owns the
 // simplex state exclusively — btranRow mutates scratch — so parallelism is
 // across families, never within one); each family keeps its own persistent
@@ -610,10 +616,11 @@ func carryBasis(base *instance, st *simplexState, prev, next []*cutRow) (basic [
 // cut rows the returned instance carries.
 func rootCutLoop(ctx context.Context, base *instance, intTol float64, conflicts [][2]ConflictLiteral, workers int, proven func(*simplexState) bool) cutLoopResult {
 	res := cutLoopResult{in: base, status: StatusUnknown}
-	st := newState(base)
+	st := getState(base)
+	defer func() { statePool.Put(st) }()
 	st.ctx = ctx
 	status := st.solveCold()
-	res.addIters(st)
+	res.addSolve(st)
 	if status != StatusOptimal {
 		res.status = status
 		return res
@@ -635,7 +642,7 @@ func rootCutLoop(ctx context.Context, base *instance, intTol float64, conflicts 
 	// on success, makes it the loop's current LP.
 	resolve := func(cuts []*cutRow) bool {
 		in := extendWithCuts(base, cuts)
-		next := newState(in)
+		next := getState(in)
 		next.ctx = ctx
 		var status Status
 		if basic, stat, ok := carryBasis(base, st, pool, cuts); ok {
@@ -644,10 +651,12 @@ func rootCutLoop(ctx context.Context, base *instance, intTol float64, conflicts 
 		} else {
 			status = next.solveCold()
 		}
-		res.addIters(next)
+		res.addSolve(next)
 		if status != StatusOptimal {
+			statePool.Put(next)
 			return false
 		}
+		statePool.Put(st)
 		st, pool = next, cuts
 		res.keep(in, st)
 		return true

@@ -428,3 +428,34 @@ func TestRootCutLoopStatsOnFailedResolve(t *testing.T) {
 			prevRounds, prevCuts, full.stats.Rounds, full.stats.Applied+full.stats.AgedOut)
 	}
 }
+
+// TestSolveCountsCutLoopFactorStats checks that SolveStats.Factor includes
+// the root cut loop's factorizations. The fixture spends most of its kernel
+// work in the cut loop, and the node cap leaves branch and bound one node.
+func TestSolveCountsCutLoopFactorStats(t *testing.T) {
+	m := schedLikeLP(8, 3, false)
+	base, decided := compile(m, true)
+	if decided != StatusUnknown {
+		t.Fatalf("compile decided the model outright: %v", decided)
+	}
+	cut := rootCutLoop(context.Background(), base, 1e-6, nil, 1, nil)
+	if cut.status != StatusOptimal || cut.stats.Rounds == 0 {
+		t.Fatalf("cut loop status %v after %d rounds; the fixture must cut", cut.status, cut.stats.Rounds)
+	}
+	if cut.factor.Refactorizations == 0 || cut.factor.Updates == 0 {
+		t.Fatalf("cut loop factor counters %+v; the fixture must factorize", cut.factor)
+	}
+	sol, err := Solve(m, SolveOptions{Workers: 1, MaxNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := sol.Stats.Factor
+	t.Logf("cut loop %+v, solve %+v, pivots %d", cut.factor, f, sol.Iterations)
+	if f.Kernel != "sparse-lu" {
+		t.Errorf("Kernel = %q, want the branch-and-bound kernel sparse-lu", f.Kernel)
+	}
+	if f.Refactorizations <= cut.factor.Refactorizations || f.Updates < cut.factor.Updates {
+		t.Errorf("solve reports %d refactorizations and %d updates; the cut loop alone made %d and %d",
+			f.Refactorizations, f.Updates, cut.factor.Refactorizations, cut.factor.Updates)
+	}
+}

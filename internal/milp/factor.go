@@ -80,15 +80,20 @@ type denseFactor struct {
 }
 
 func newDenseFactor(in *instance, basic []int32, abort func() bool) *denseFactor {
+	f := &denseFactor{}
+	f.reset(in, basic, abort)
+	return f
+}
+
+// reset points the kernel at in and returns it to the state newDenseFactor
+// builds: zeroed arrays and cleared counters.
+func (f *denseFactor) reset(in *instance, basic []int32, abort func() bool) {
 	m := in.m
-	return &denseFactor{
-		in:        in,
-		basic:     basic,
-		abort:     abort,
-		binv:      make([]float64, m*m),
-		factorBuf: make([]float64, m*m),
-		st:        FactorStats{Kernel: "dense"},
-	}
+	f.in, f.basic, f.abort = in, basic, abort
+	f.binv = resize(f.binv, m*m)
+	f.factorBuf = resize(f.factorBuf, m*m)
+	f.since = 0
+	f.st = FactorStats{Kernel: "dense"}
 }
 
 func (f *denseFactor) kind() string          { return "dense" }

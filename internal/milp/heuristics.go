@@ -41,7 +41,7 @@ func (w *bbWorker) claimHeuristicSlot() bool {
 // relaxation solution indexed by model variable.
 func (w *bbWorker) runHeuristics(x []float64) {
 	if w.heur == nil {
-		w.heur = newState(w.in)
+		w.heur = getState(w.in)
 		w.heur.ctx = w.st.ctx
 	}
 	sh := w.sh

@@ -91,7 +91,8 @@ func (w *bbWorker) runLocalBranch(inc []float64, cutoff float64) {
 	ball.norm = math.Sqrt(float64(len(ball.cols)))
 
 	ext := extendWithCuts(in, []*cutRow{ball})
-	st := newState(ext)
+	st := getState(ext)
+	defer statePool.Put(st)
 	st.ctx = w.st.ctx
 
 	type lbNode struct{ changes []bndChange }

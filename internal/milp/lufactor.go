@@ -1,6 +1,9 @@
 package milp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Sparse LU tuning constants.
 const (
@@ -16,6 +19,9 @@ const (
 	// search examines (Suhl & Suhl settle for 4); a full scan over every
 	// active column runs only when none of them holds an eligible entry.
 	luPivotCols = 4
+	// luMaxBucket is the largest column count with a bucket of its own; the
+	// active columns above it share one overflow bucket.
+	luMaxBucket = 16
 	// ftRelTol rejects a Forrest–Tomlin update whose eliminated diagonal is
 	// smaller than this times the spike's largest magnitude — the classic
 	// stability escape hatch that forces a refactorization instead of
@@ -34,15 +40,27 @@ const (
 // cyclically shift its pivot position to the end, and restore triangularity
 // with one row eta — so between refactorizations every solve stays a pair of
 // sparse triangular passes plus the accumulated etas.
+//
+// Every solve performs the floating-point operations of the plain
+// triangular passes in the same order, down to the sign of a zero; the
+// shortcuts below only skip work whose result is already known (a run of
+// etas multiplying a zero, an inner loop over zeros, a division of zero).
+// The solves assume finite, nonzero diagonals, which pivot selection and
+// the update's stability test guarantee for finite bases.
 type luFactor struct {
 	in    *instance
 	basic []int32 // shared with the owning simplexState
 	abort func() bool
 	m     int
 
-	// L: eta operations in elimination order, work[lrow] -= lval·work[lpiv].
-	lrow, lpiv []int32
-	lval       []float64
+	// L: eta runs in elimination order. Run e holds one elimination step's
+	// etas, which share the pivot row lrunPiv[e]:
+	// work[lrow[p]] -= lval[p]·work[lrunPiv[e]] for p in
+	// [lrunPtr[e], lrunPtr[e+1]). No eta of a run writes its pivot row.
+	lrow    []int32
+	lval    []float64
+	lrunPiv []int32
+	lrunPtr []int32
 
 	// U off-diagonal entries, mirrored; diag is keyed by column id.
 	ucolInd [][]int32
@@ -87,47 +105,92 @@ type luFactor struct {
 	fInPiv     []bool
 	fVisited   []bool
 	fCand      []int32
+	fEntRow    []int32 // one candidate column's active entries
+	fEntVal    []float64
+
+	// The active columns bucketed by count: bucket k ≤ luMaxBucket holds the
+	// columns of count k, bucket luMaxBucket+1 every column above. Each
+	// bucket is a bitset of fWords words in fBucket; fBucketN counts its
+	// members and fBucketLo is a lower bound on its first nonzero word.
+	fBucket   []uint64
+	fBucketN  [luMaxBucket + 2]int32
+	fBucketLo [luMaxBucket + 2]int
+	fWords    int
 
 	st FactorStats
 }
 
 func newLUFactor(in *instance, basic []int32, abort func() bool) *luFactor {
-	m := in.m
-	f := &luFactor{
-		in:    in,
-		basic: basic,
-		abort: abort,
-		m:     m,
-
-		ucolInd: make([][]int32, m),
-		ucolVal: make([][]float64, m),
-		urowInd: make([][]int32, m),
-		urowVal: make([][]float64, m),
-		diag:    make([]float64, m),
-		prow:    make([]int32, m),
-		pcol:    make([]int32, m),
-		posRow:  make([]int32, m),
-		posCol:  make([]int32, m),
-
-		spike:   make([]float64, m),
-		work:    make([]float64, m),
-		lastRow: make([]float64, m),
-
-		fRowInd:    make([][]int32, m),
-		fRowVal:    make([][]float64, m),
-		fColRows:   make([][]int32, m),
-		fColCnt:    make([]int32, m),
-		fRowActive: make([]bool, m),
-		fColActive: make([]bool, m),
-		fScratch:   make([]float64, m),
-		fInPiv:     make([]bool, m),
-		fVisited:   make([]bool, m),
-
-		retaPtr: []int32{0},
-		st:      FactorStats{Kernel: "sparse-lu"},
-	}
-	f.installIdentity()
+	f := &luFactor{}
+	f.reset(in, basic, abort)
 	return f
+}
+
+// reset points the kernel at in and returns it to the state newLUFactor
+// builds: every array resized and zeroed, every per-row list truncated, the
+// counters cleared, and the identity factorization installed.
+func (f *luFactor) reset(in *instance, basic []int32, abort func() bool) {
+	m := in.m
+	f.in, f.basic, f.abort, f.m = in, basic, abort, m
+
+	f.ucolInd = resizeLists(f.ucolInd, m)
+	f.ucolVal = resizeLists(f.ucolVal, m)
+	f.urowInd = resizeLists(f.urowInd, m)
+	f.urowVal = resizeLists(f.urowVal, m)
+	f.diag = resize(f.diag, m)
+	f.prow = resize(f.prow, m)
+	f.pcol = resize(f.pcol, m)
+	f.posRow = resize(f.posRow, m)
+	f.posCol = resize(f.posCol, m)
+
+	f.spike = resize(f.spike, m)
+	f.work = resize(f.work, m)
+	f.lastRow = resize(f.lastRow, m)
+	f.muInd, f.muVal = f.muInd[:0], f.muVal[:0]
+
+	f.fRowInd = resizeLists(f.fRowInd, m)
+	f.fRowVal = resizeLists(f.fRowVal, m)
+	f.fColRows = resizeLists(f.fColRows, m)
+	f.fColCnt = resize(f.fColCnt, m)
+	f.fRowActive = resize(f.fRowActive, m)
+	f.fColActive = resize(f.fColActive, m)
+	f.fScratch = resize(f.fScratch, m)
+	f.fInPiv = resize(f.fInPiv, m)
+	f.fVisited = resize(f.fVisited, m)
+	f.fCand = f.fCand[:0]
+	f.fEntRow, f.fEntVal = f.fEntRow[:0], f.fEntVal[:0]
+
+	f.fWords = (m + 63) >> 6
+	f.fBucket = resize(f.fBucket, (luMaxBucket+2)*f.fWords)
+	f.fBucketN = [luMaxBucket + 2]int32{}
+	f.fBucketLo = [luMaxBucket + 2]int{}
+
+	f.st = FactorStats{Kernel: "sparse-lu"}
+	f.installIdentity()
+}
+
+// resize returns s with length n and every element zero, reusing its array
+// when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// resizeLists returns s with length n and every list truncated to empty,
+// keeping the lists' arrays for reuse.
+func resizeLists[T any](s [][]T, n int) [][]T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([][]T, n-cap(s))...)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = s[i][:0]
+	}
+	return s
 }
 
 func (f *luFactor) kind() string          { return "sparse-lu" }
@@ -136,7 +199,9 @@ func (f *luFactor) snapshot() FactorStats { return f.st }
 
 // resetFactors drops L, U and every pending eta.
 func (f *luFactor) resetFactors() {
-	f.lrow, f.lpiv, f.lval = f.lrow[:0], f.lpiv[:0], f.lval[:0]
+	f.lrow, f.lval = f.lrow[:0], f.lval[:0]
+	f.lrunPiv = f.lrunPiv[:0]
+	f.lrunPtr = append(f.lrunPtr[:0], 0)
 	for c := 0; c < f.m; c++ {
 		f.ucolInd[c] = f.ucolInd[c][:0]
 		f.ucolVal[c] = f.ucolVal[c][:0]
@@ -174,11 +239,16 @@ func (f *luFactor) scatterColumn(j int, out []float64) {
 }
 
 // applyL runs the L etas and the Forrest–Tomlin row etas over a row-indexed
-// vector, completing the "lower" half of an FTRAN.
+// vector, completing the "lower" half of an FTRAN. A run whose pivot entry
+// is zero changes nothing and is skipped whole.
 func (f *luFactor) applyL(w []float64) {
-	for k := range f.lrow {
-		if v := w[f.lpiv[k]]; v != 0 {
-			w[f.lrow[k]] -= f.lval[k] * v
+	for e, piv := range f.lrunPiv {
+		v := w[piv]
+		if v == 0 {
+			continue
+		}
+		for p := f.lrunPtr[e]; p < f.lrunPtr[e+1]; p++ {
+			w[f.lrow[p]] -= f.lval[p] * v
 		}
 	}
 	for e := range f.retaRow {
@@ -192,12 +262,22 @@ func (f *luFactor) applyL(w []float64) {
 	}
 }
 
+// signBit masks the sign of a float64.
+const signBit = 1 << 63
+
 // solveU back-substitutes U over the row-indexed vector w, writing the
-// result indexed by basis position into out. w is consumed.
+// result indexed by basis position into out. w is consumed. A zero entry
+// divides to the zero whose sign is the two operands' signs combined, which
+// is written without the division.
 func (f *luFactor) solveU(w, out []float64) {
 	for k := f.m - 1; k >= 0; k-- {
 		c := f.pcol[k]
-		v := w[f.prow[k]] / f.diag[c]
+		x := w[f.prow[k]]
+		if x == 0 {
+			out[c] = math.Float64frombits((math.Float64bits(x) ^ math.Float64bits(f.diag[c])) & signBit)
+			continue
+		}
+		v := x / f.diag[c]
 		out[c] = v
 		if v != 0 {
 			ind, val := f.ucolInd[c], f.ucolVal[c]
@@ -214,9 +294,7 @@ func (f *luFactor) ftranColumn(j int, out []float64) {
 		return
 	}
 	w := f.work
-	for i := range w {
-		w[i] = 0
-	}
+	clear(w)
 	f.scatterColumn(j, w)
 	f.applyL(w)
 	copy(f.spike, w)
@@ -234,20 +312,18 @@ func (f *luFactor) ftranDense(rhs, out []float64) {
 	f.solveU(w, out)
 }
 
-// btranInto solves Bᵀ·out = cb with cb read through the get callback (dense
-// slice or unit vector), sharing the transposed-solve spine of btranDense
-// and btranRow.
-func (f *luFactor) btranInto(get func(c int32) float64, out []float64) {
-	m := f.m
-	if m == 0 {
-		return
-	}
+// solveUT runs the Uᵀ forward pass from pivot position k0 on, in pivot
+// order, with right-hand side cb (nil for zero): every off-diagonal entry of
+// column c lies at an earlier position, so its w value is final when read.
+// Positions before k0 must already hold their values.
+func (f *luFactor) solveUT(k0 int, cb []float64) {
 	w := f.work
-	// Uᵀ forward pass in pivot order: every off-diagonal entry of column c
-	// lies at an earlier position, so its w value is final when read.
-	for k := 0; k < m; k++ {
+	for k := k0; k < f.m; k++ {
 		c := f.pcol[k]
-		acc := get(c)
+		acc := 0.0
+		if cb != nil {
+			acc = cb[c]
+		}
 		ind, val := f.ucolInd[c], f.ucolVal[c]
 		for idx, rr := range ind {
 			if v := w[rr]; v != 0 {
@@ -256,7 +332,13 @@ func (f *luFactor) btranInto(get func(c int32) float64, out []float64) {
 		}
 		w[f.prow[k]] = acc / f.diag[c]
 	}
-	// Transposed row etas in reverse update order.
+}
+
+// btranTail finishes a BTRAN after the Uᵀ pass: the transposed row etas in
+// reverse update order, then Lᵀ in reverse elimination order, and copies the
+// result into out.
+func (f *luFactor) btranTail(out []float64) {
+	w := f.work
 	for e := len(f.retaRow) - 1; e >= 0; e-- {
 		if v := w[f.retaRow[e]]; v != 0 {
 			for p := f.retaPtr[e]; p < f.retaPtr[e+1]; p++ {
@@ -264,26 +346,42 @@ func (f *luFactor) btranInto(get func(c int32) float64, out []float64) {
 			}
 		}
 	}
-	// Lᵀ in reverse elimination order.
-	for k := len(f.lrow) - 1; k >= 0; k-- {
-		if v := w[f.lrow[k]]; v != 0 {
-			w[f.lpiv[k]] -= f.lval[k] * v
+	for e := len(f.lrunPiv) - 1; e >= 0; e-- {
+		piv := f.lrunPiv[e]
+		acc := w[piv]
+		for p := f.lrunPtr[e+1] - 1; p >= f.lrunPtr[e]; p-- {
+			if v := w[f.lrow[p]]; v != 0 {
+				acc -= f.lval[p] * v
+			}
 		}
+		w[piv] = acc
 	}
-	copy(out[:m], w)
+	copy(out[:f.m], w)
 }
 
 func (f *luFactor) btranDense(cb, out []float64) {
-	f.btranInto(func(c int32) float64 { return cb[c] }, out)
+	if f.m == 0 {
+		return
+	}
+	f.solveUT(0, cb)
+	f.btranTail(out)
 }
 
+// btranRow solves Bᵀ·out = e_r. Before r's pivot position t the right-hand
+// side and every value read are zero, so each of those positions is 0/diag,
+// a signed zero, and position t is 1/diag; the pass runs in full from t+1.
 func (f *luFactor) btranRow(r int, out []float64) {
-	f.btranInto(func(c int32) float64 {
-		if int(c) == r {
-			return 1
-		}
-		return 0
-	}, out)
+	if f.m == 0 {
+		return
+	}
+	w := f.work
+	t := int(f.posCol[r])
+	for k := 0; k < t; k++ {
+		w[f.prow[k]] = 0 / f.diag[f.pcol[k]]
+	}
+	w[f.prow[t]] = 1 / f.diag[r]
+	f.solveUT(t+1, nil)
+	f.btranTail(out)
 }
 
 // update absorbs the basis change that replaces basis position r with the
@@ -447,8 +545,8 @@ func (f *luFactor) refactorize() bool {
 	return true
 }
 
-// buildWorking assembles the active working matrix from the basis columns
-// and returns its nonzero count.
+// buildWorking assembles the active working matrix from the basis columns,
+// buckets every column by its count, and returns the nonzero count.
 func (f *luFactor) buildWorking() int {
 	in := f.in
 	m := f.m
@@ -478,7 +576,70 @@ func (f *luFactor) buildWorking() int {
 			add(in.rowIdx[p], int32(c), in.val[p])
 		}
 	}
+	clear(f.fBucket)
+	f.fBucketN = [luMaxBucket + 2]int32{}
+	for b := range f.fBucketLo {
+		f.fBucketLo[b] = f.fWords
+	}
+	for c := 0; c < m; c++ {
+		f.bucketAdd(int32(c), bucketOf(f.fColCnt[c]))
+	}
 	return nnz
+}
+
+// bucketOf is the bucket of a column with count cnt.
+func bucketOf(cnt int32) int {
+	if cnt > luMaxBucket {
+		return luMaxBucket + 1
+	}
+	return int(cnt)
+}
+
+func (f *luFactor) bucketAdd(c int32, b int) {
+	wd := int(c >> 6)
+	f.fBucket[b*f.fWords+wd] |= 1 << (uint(c) & 63)
+	f.fBucketN[b]++
+	if wd < f.fBucketLo[b] {
+		f.fBucketLo[b] = wd
+	}
+}
+
+func (f *luFactor) bucketRemove(c int32, b int) {
+	f.fBucket[b*f.fWords+int(c>>6)] &^= 1 << (uint(c) & 63)
+	f.fBucketN[b]--
+}
+
+// addCount changes active column c's count by delta and re-buckets it.
+func (f *luFactor) addCount(c int32, delta int32) {
+	old := f.fColCnt[c]
+	f.fColCnt[c] = old + delta
+	if bo, bn := bucketOf(old), bucketOf(old+delta); bo != bn {
+		f.bucketRemove(c, bo)
+		f.bucketAdd(c, bn)
+	}
+}
+
+// appendBucket appends bucket b's columns in ascending order to f.fCand
+// until it holds limit columns.
+func (f *luFactor) appendBucket(b, limit int) {
+	words := f.fBucket[b*f.fWords : (b+1)*f.fWords]
+	for wd := f.fBucketLo[b]; wd < len(words); wd++ {
+		word := words[wd]
+		if word == 0 {
+			if f.fBucketLo[b] == wd {
+				f.fBucketLo[b] = wd + 1
+			}
+			continue
+		}
+		for word != 0 {
+			c := int32(wd<<6 | bits.TrailingZeros64(word))
+			f.fCand = append(f.fCand, c)
+			if len(f.fCand) == limit {
+				return
+			}
+			word &= word - 1
+		}
+	}
 }
 
 // entryValue scans row rw for column c; explicit zeros count as present.
@@ -493,35 +654,45 @@ func (f *luFactor) entryValue(rw int32, c int32) float64 {
 }
 
 // selectPivot runs the Markowitz-threshold search: examine the lowest-count
-// active columns (up to luPivotCols of them), admit entries within
-// markowitzThreshold of their column's magnitude, and pick the admitted
-// entry minimizing (rowCount−1)·(colCount−1), larger magnitude breaking
-// ties. Falls back to a full column scan when the low-count columns offer
-// nothing, and reports failure — a singular basis — when no column does.
+// active columns (up to luPivotCols of them, ordered by count, then column
+// id), admit entries within markowitzThreshold of their column's magnitude,
+// and pick the admitted entry minimizing (rowCount−1)·(colCount−1), larger
+// magnitude breaking ties. The candidates come from the count buckets; only
+// when fewer than luPivotCols columns have a bucket of their own are the
+// overflow columns ranked, by insertion. Falls back to a full column scan
+// when the low-count columns offer nothing, and reports failure — a
+// singular basis — when no column does.
 func (f *luFactor) selectPivot() (int32, int32, float64, bool) {
-	m := f.m
-	// Gather the luPivotCols active columns with the smallest counts.
+	if f.fBucketN[0] > 0 {
+		return 0, 0, 0, false // an active column without entries: structurally singular
+	}
 	f.fCand = f.fCand[:0]
-	for c := 0; c < m; c++ {
-		if !f.fColActive[c] {
-			continue
+	for b := 1; b <= luMaxBucket && len(f.fCand) < luPivotCols; b++ {
+		if f.fBucketN[b] > 0 {
+			f.appendBucket(b, luPivotCols)
 		}
-		if f.fColCnt[c] == 0 {
-			return 0, 0, 0, false // structurally singular
-		}
-		cnt := f.fColCnt[c]
-		pos := len(f.fCand)
-		if pos < luPivotCols {
-			f.fCand = append(f.fCand, int32(c))
-		} else if cnt < f.fColCnt[f.fCand[luPivotCols-1]] {
-			pos = luPivotCols - 1
-			f.fCand[pos] = int32(c)
-		} else {
-			continue
-		}
-		for pos > 0 && f.fColCnt[f.fCand[pos]] < f.fColCnt[f.fCand[pos-1]] {
-			f.fCand[pos], f.fCand[pos-1] = f.fCand[pos-1], f.fCand[pos]
-			pos--
+	}
+	if over := luMaxBucket + 1; len(f.fCand) < luPivotCols && f.fBucketN[over] > 0 {
+		base := len(f.fCand)
+		words := f.fBucket[over*f.fWords : (over+1)*f.fWords]
+		for wd, word := range words {
+			for ; word != 0; word &= word - 1 {
+				c := int32(wd<<6 | bits.TrailingZeros64(word))
+				cnt := f.fColCnt[c]
+				pos := len(f.fCand)
+				if pos < luPivotCols {
+					f.fCand = append(f.fCand, c)
+				} else if cnt < f.fColCnt[f.fCand[luPivotCols-1]] {
+					pos = luPivotCols - 1
+					f.fCand[pos] = c
+				} else {
+					continue
+				}
+				for pos > base && f.fColCnt[f.fCand[pos]] < f.fColCnt[f.fCand[pos-1]] {
+					f.fCand[pos], f.fCand[pos-1] = f.fCand[pos-1], f.fCand[pos]
+					pos--
+				}
+			}
 		}
 	}
 	if pr, pc, pv, ok := f.bestInColumns(f.fCand); ok {
@@ -530,7 +701,7 @@ func (f *luFactor) selectPivot() (int32, int32, float64, bool) {
 	// Rare fallback: every low-count column was numerically hopeless; scan
 	// all active columns before declaring the basis singular.
 	f.fCand = f.fCand[:0]
-	for c := 0; c < m; c++ {
+	for c := 0; c < f.m; c++ {
 		if f.fColActive[c] {
 			f.fCand = append(f.fCand, int32(c))
 		}
@@ -539,21 +710,25 @@ func (f *luFactor) selectPivot() (int32, int32, float64, bool) {
 }
 
 // bestInColumns applies the threshold test and Markowitz cost over the given
-// candidate columns.
+// candidate columns, reading each column's active entries once.
 func (f *luFactor) bestInColumns(cols []int32) (int32, int32, float64, bool) {
 	bestRow, bestCol := int32(-1), int32(-1)
 	bestVal := 0.0
 	bestCost := math.Inf(1)
 	for _, c := range cols {
+		rows, vals := f.fEntRow[:0], f.fEntVal[:0]
 		colMax := 0.0
 		for _, rw := range f.fColRows[c] {
 			if !f.fRowActive[rw] {
 				continue
 			}
-			if av := math.Abs(f.entryValue(rw, c)); av > colMax {
+			v := f.entryValue(rw, c)
+			rows, vals = append(rows, rw), append(vals, v)
+			if av := math.Abs(v); av > colMax {
 				colMax = av
 			}
 		}
+		f.fEntRow, f.fEntVal = rows, vals
 		if colMax < luPivotFloor {
 			continue
 		}
@@ -562,11 +737,8 @@ func (f *luFactor) bestInColumns(cols []int32) (int32, int32, float64, bool) {
 			thresh = luPivotFloor
 		}
 		ccnt := float64(f.fColCnt[c] - 1)
-		for _, rw := range f.fColRows[c] {
-			if !f.fRowActive[rw] {
-				continue
-			}
-			v := f.entryValue(rw, c)
+		for i, rw := range rows {
+			v := vals[i]
 			if math.Abs(v) < thresh {
 				continue
 			}
@@ -584,7 +756,8 @@ func (f *luFactor) bestInColumns(cols []int32) (int32, int32, float64, bool) {
 
 // eliminate performs elimination step k on pivot (pr, pc) with value pv: the
 // pivot row's remainder becomes U row k, and every other active row holding
-// column pc is updated, recording its multiplier as an L eta.
+// column pc is updated, recording its multiplier as an eta of the step's L
+// run.
 func (f *luFactor) eliminate(k int, pr, pc int32, pv float64) {
 	f.prow[k], f.pcol[k] = pr, pc
 	f.posRow[pr], f.posCol[pc] = int32(k), int32(k)
@@ -602,13 +775,15 @@ func (f *luFactor) eliminate(k int, pr, pc int32, pv float64) {
 		f.ucolVal[cc] = append(f.ucolVal[cc], v)
 		f.urowInd[pr] = append(f.urowInd[pr], cc)
 		f.urowVal[pr] = append(f.urowVal[pr], v)
-		f.fColCnt[cc]--
+		f.addCount(cc, -1)
 		f.fScratch[cc] = v
 		f.fInPiv[cc] = true
 	}
 	f.fRowActive[pr] = false
 	f.fColActive[pc] = false
+	f.bucketRemove(pc, bucketOf(f.fColCnt[pc]))
 
+	runStart := len(f.lrow)
 	for _, rw := range f.fColRows[pc] {
 		if !f.fRowActive[rw] {
 			continue
@@ -630,7 +805,6 @@ func (f *luFactor) eliminate(k int, pr, pc int32, pv float64) {
 		}
 		l := vi / pv
 		f.lrow = append(f.lrow, rw)
-		f.lpiv = append(f.lpiv, pr)
 		f.lval = append(f.lval, l)
 		// row rw -= l · (pivot row remainder), fills appended.
 		ind, val = f.fRowInd[rw], f.fRowVal[rw]
@@ -649,8 +823,12 @@ func (f *luFactor) eliminate(k int, pr, pc int32, pv float64) {
 			f.fRowInd[rw] = append(f.fRowInd[rw], cc)
 			f.fRowVal[rw] = append(f.fRowVal[rw], fillV)
 			f.fColRows[cc] = append(f.fColRows[cc], rw)
-			f.fColCnt[cc]++
+			f.addCount(cc, 1)
 		}
+	}
+	if len(f.lrow) > runStart {
+		f.lrunPiv = append(f.lrunPiv, pr)
+		f.lrunPtr = append(f.lrunPtr, int32(len(f.lrow)))
 	}
 	for _, cc := range f.urowInd[pr] {
 		f.fInPiv[cc] = false

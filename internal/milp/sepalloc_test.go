@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"testing"
 )
 
@@ -105,4 +106,35 @@ func BenchmarkCutSeparationRound(b *testing.B) {
 		}
 		b.ReportMetric(float64(cuts), "cuts")
 	})
+}
+
+// cutLoopAllocsRef is the checked-in allocation count of one whole root cut
+// loop on the scheduling-shaped fixture (3 rounds, 46 cut rows), measured
+// with simplex states recycled through statePool and the replaced state
+// reset for each re-solve. The remaining allocations are the extended
+// instances, the cut rows and the carried bases. A loop that builds a fresh
+// simplex state and LU factor per re-solve allocated 9,260 objects here.
+const cutLoopAllocsRef = 924
+
+// TestRootCutLoopAllocs is the allocation smoke gate of the cut loop's
+// re-solves: a repeated loop must stay within 2x the checked-in figure. CI
+// runs it on every push (see bench-smoke).
+func TestRootCutLoopAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops recycled states at random")
+	}
+	base, decided := compile(schedLikeLP(8, 3, false), true)
+	if decided != StatusUnknown {
+		t.Fatalf("compile decided the model outright: %v", decided)
+	}
+	if res := rootCutLoop(context.Background(), base, 1e-6, nil, 1, nil); res.stats.Rounds == 0 {
+		t.Fatal("fixture ran no cut round; the allocation figure is meaningless")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		rootCutLoop(context.Background(), base, 1e-6, nil, 1, nil)
+	})
+	if allocs > 2*cutLoopAllocsRef {
+		t.Errorf("root cut loop allocates %.0f objects, more than 2x the checked-in figure %d",
+			allocs, cutLoopAllocsRef)
+	}
 }

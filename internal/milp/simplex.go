@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Status reports the outcome of a solve.
@@ -170,10 +171,11 @@ type simplexState struct {
 	gamma []float64 // primal devex reference weights, length n
 	rowW  []float64 // dual devex row weights, length m
 
-	alphaBuf []float64 // pivot row α_rj over all columns, length n
-	flipBuf  []float64 // bound-flip rhs accumulator, length m
-	flipOut  []float64 // bound-flip FTRAN result, length m
-	flipCand []int32   // BFRT breakpoint candidates, capacity n
+	alphaBuf []float64   // pivot row α_rj over all columns, length n
+	flipBuf  []float64   // bound-flip rhs accumulator, length m
+	flipOut  []float64   // bound-flip FTRAN result, length m
+	flipCand []ratioCand // BFRT breakpoint candidates
+	flips    []bndFlip   // BFRT flips of the current pivot
 
 	// pertOn layers the instance's anti-degeneracy cost perturbation onto
 	// every cost lookup; the optimizing loops run perturbed, then switch it
@@ -196,32 +198,57 @@ func newState(in *instance) *simplexState {
 }
 
 func newStateKernel(in *instance, kk kernelKind) *simplexState {
-	s := &simplexState{
-		in:       in,
-		lo:       append([]float64(nil), in.lo...),
-		hi:       append([]float64(nil), in.hi...),
-		basic:    make([]int32, in.m),
-		pos:      make([]int32, in.n),
-		stat:     make([]int8, in.n),
-		xB:       make([]float64, in.m),
-		y:        make([]float64, in.m),
-		d:        make([]float64, in.n),
-		w:        make([]float64, in.m),
-		rho:      make([]float64, in.m),
-		rowBuf:   make([]float64, in.m),
-		cbBuf:    make([]float64, in.m),
-		gamma:    make([]float64, in.n),
-		rowW:     make([]float64, in.m),
-		alphaBuf: make([]float64, in.n),
-		flipBuf:  make([]float64, in.m),
-		flipOut:  make([]float64, in.m),
-		flipCand: make([]int32, 0, in.n),
-	}
+	s := &simplexState{}
+	s.reset(in, kk)
+	return s
+}
+
+// reset points s at in and returns it to the state newStateKernel(in, kk)
+// builds: the bounds copied from in, every other array resized and zeroed,
+// the counters and context cleared, and a kernel of the chosen kind reset to
+// the identity. A recycled state therefore computes exactly as a fresh one.
+func (s *simplexState) reset(in *instance, kk kernelKind) {
+	m, n := in.m, in.n
+	s.in = in
+	s.lo = append(s.lo[:0], in.lo...)
+	s.hi = append(s.hi[:0], in.hi...)
+	s.basic = resize(s.basic, m)
+	s.pos = resize(s.pos, n)
+	s.stat = resize(s.stat, n)
+	s.xB = resize(s.xB, m)
+	s.y = resize(s.y, m)
+	s.d = resize(s.d, n)
+	s.w = resize(s.w, m)
+	s.rho = resize(s.rho, m)
+	s.rowBuf = resize(s.rowBuf, m)
+	s.cbBuf = resize(s.cbBuf, m)
+	s.gamma = resize(s.gamma, n)
+	s.rowW = resize(s.rowW, m)
+	s.alphaBuf = resize(s.alphaBuf, n)
+	s.flipBuf = resize(s.flipBuf, m)
+	s.flipOut = resize(s.flipOut, m)
+	s.flipCand = s.flipCand[:0]
+	s.flips = s.flips[:0]
+	s.pertOn = false
+	s.incrPivots, s.fullPivots, s.iters = 0, 0, 0
+	s.ctx = nil
 	if kk == kernelAuto {
-		if in.m >= sparseKernelMinRows {
+		if m >= sparseKernelMinRows {
 			kk = kernelSparseLU
 		} else {
 			kk = kernelDense
+		}
+	}
+	switch f := s.fac.(type) {
+	case *luFactor:
+		if kk == kernelSparseLU {
+			f.reset(in, s.basic, s.aborted)
+			return
+		}
+	case *denseFactor:
+		if kk == kernelDense {
+			f.reset(in, s.basic, s.aborted)
+			return
 		}
 	}
 	if kk == kernelSparseLU {
@@ -229,6 +256,20 @@ func newStateKernel(in *instance, kk kernelKind) *simplexState {
 	} else {
 		s.fac = newDenseFactor(in, s.basic, s.aborted)
 	}
+}
+
+// statePool recycles simplex states across solves, so a solve resets the
+// arrays and kernel storage of an earlier one instead of allocating its own.
+var statePool sync.Pool
+
+// getState returns a state for in, recycled from statePool when one is
+// free. It computes exactly as newState(in) would.
+func getState(in *instance) *simplexState {
+	s, _ := statePool.Get().(*simplexState)
+	if s == nil {
+		return newState(in)
+	}
+	s.reset(in, kernelAuto)
 	return s
 }
 
@@ -950,17 +991,11 @@ func (s *simplexState) dualRatioBFRT(below bool, delta float64, bland bool) (int
 		} else {
 			ok = (st == nbLower && a > 0) || (st == nbUpper && a < 0) || st == nbFree
 		}
-		if ok {
-			cand = append(cand, int32(j))
+		if !ok {
+			continue
 		}
-	}
-	s.flipCand = cand // keep the grown backing array
-	if len(cand) == 0 {
-		return -1, nil, StatusInfeasible
-	}
-	ratio := func(j int32) float64 {
 		dj := s.d[j]
-		switch s.stat[j] {
+		switch st {
 		case nbLower: // dual feasibility means dj >= 0; clamp drift
 			if dj < 0 {
 				dj = 0
@@ -970,40 +1005,39 @@ func (s *simplexState) dualRatioBFRT(below bool, delta float64, bland bool) (int
 				dj = 0
 			}
 		}
-		return math.Abs(dj / alpha[j])
+		cand = append(cand, ratioCand{j: int32(j), ratio: math.Abs(dj / a), absAlpha: math.Abs(a)})
+	}
+	s.flipCand = cand // keep the grown backing array
+	if len(cand) == 0 {
+		return -1, nil, StatusInfeasible
 	}
 	if bland {
 		// Plain Bland: minimum ratio, lowest index — guaranteed terminating,
 		// no long steps.
 		q := int32(-1)
 		bestTheta := 0.0
-		for _, j := range cand {
-			th := ratio(j)
+		for _, c := range cand {
+			th := c.ratio
 			switch {
 			case q < 0 || th < bestTheta-redCostEps:
-				q, bestTheta = j, th
-			case th < bestTheta+redCostEps && j < q:
-				q, bestTheta = j, th
+				q, bestTheta = c.j, th
+			case th < bestTheta+redCostEps && c.j < q:
+				q, bestTheta = c.j, th
 			}
 		}
 		return int(q), nil, StatusOptimal
 	}
-	sort.Slice(cand, func(a, b int) bool {
-		ta, tb := ratio(cand[a]), ratio(cand[b])
-		if ta != tb {
-			return ta < tb
-		}
-		// Equal ratios: prefer the larger pivot element for stability.
-		return math.Abs(alpha[cand[a]]) > math.Abs(alpha[cand[b]])
-	})
-	var flips []bndFlip
+	sort.Sort(ratioOrder(cand))
+	flips := s.flips[:0]
 	remaining := delta
-	for idx, j := range cand {
+	for idx, c := range cand {
+		j := c.j
 		rng := s.hi[j] - s.lo[j]
 		// Flip capacity: how much of the violation this column's full range
 		// absorbs. The last candidate must enter (nothing left to flip to).
-		cap_ := math.Abs(alpha[j]) * rng
+		cap_ := c.absAlpha * rng
 		if idx == len(cand)-1 || math.IsInf(rng, 1) || cap_ >= remaining-feasEps {
+			s.flips = flips
 			return int(j), flips, StatusOptimal
 		}
 		dj := rng
@@ -1014,6 +1048,27 @@ func (s *simplexState) dualRatioBFRT(below bool, delta float64, bland bool) (int
 		remaining -= cap_
 	}
 	return -1, nil, StatusInfeasible // unreachable: loop always returns
+}
+
+// ratioCand is one breakpoint of the bound-flipping ratio test: column j
+// with its dual ratio and |α_rj|, each computed once per pivot.
+type ratioCand struct {
+	j        int32
+	ratio    float64
+	absAlpha float64
+}
+
+// ratioOrder sorts breakpoints by ascending ratio and, among equal ratios,
+// by descending |α_rj| — the larger pivot element for stability.
+type ratioOrder []ratioCand
+
+func (o ratioOrder) Len() int      { return len(o) }
+func (o ratioOrder) Swap(a, b int) { o[a], o[b] = o[b], o[a] }
+func (o ratioOrder) Less(a, b int) bool {
+	if o[a].ratio != o[b].ratio {
+		return o[a].ratio < o[b].ratio
+	}
+	return o[a].absAlpha > o[b].absAlpha
 }
 
 // applyBoundFlips moves each flipped column to its opposite bound and
