@@ -620,8 +620,8 @@ func (f *luFactor) addCount(c int32, delta int32) {
 }
 
 // appendBucket appends bucket b's columns in ascending order to f.fCand
-// until it holds limit columns.
-func (f *luFactor) appendBucket(b, limit int) {
+// until it holds luPivotCols columns.
+func (f *luFactor) appendBucket(b int) {
 	words := f.fBucket[b*f.fWords : (b+1)*f.fWords]
 	for wd := f.fBucketLo[b]; wd < len(words); wd++ {
 		word := words[wd]
@@ -634,7 +634,7 @@ func (f *luFactor) appendBucket(b, limit int) {
 		for word != 0 {
 			c := int32(wd<<6 | bits.TrailingZeros64(word))
 			f.fCand = append(f.fCand, c)
-			if len(f.fCand) == limit {
+			if len(f.fCand) == luPivotCols {
 				return
 			}
 			word &= word - 1
@@ -669,7 +669,7 @@ func (f *luFactor) selectPivot() (int32, int32, float64, bool) {
 	f.fCand = f.fCand[:0]
 	for b := 1; b <= luMaxBucket && len(f.fCand) < luPivotCols; b++ {
 		if f.fBucketN[b] > 0 {
-			f.appendBucket(b, luPivotCols)
+			f.appendBucket(b)
 		}
 	}
 	if over := luMaxBucket + 1; len(f.fCand) < luPivotCols && f.fBucketN[over] > 0 {

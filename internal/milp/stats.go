@@ -17,10 +17,12 @@ type PresolveStats struct {
 }
 
 // FactorStats reports basis-factorization kernel diagnostics, aggregated
-// across every simplex state a solve used (one per branch-and-bound worker).
+// across every simplex state a solve used: the root cut loop's, and each
+// branch-and-bound worker's with its heuristic and local-branching states.
 type FactorStats struct {
 	// Kernel names the basis kernel: "dense" (explicit inverse with eta
-	// updates) or "sparse-lu" (Markowitz LU with Forrest–Tomlin updates).
+	// updates) or "sparse-lu" (Markowitz LU with Forrest–Tomlin updates);
+	// after a MILP solve, the branch-and-bound workers' kernel.
 	Kernel string
 	// Refactorizations counts from-scratch basis factorizations.
 	Refactorizations int
