@@ -126,6 +126,35 @@ func (g Grid) Neighbors(n NodeID, buf []NodeID) []NodeID {
 	return buf
 }
 
+// degree returns the number of nodes adjacent to n.
+func (g Grid) degree(n NodeID) int {
+	var buf [4]NodeID
+	return len(g.Neighbors(n, buf[:0]))
+}
+
+// link is one neighbour of a grid node and the segment joining them.
+type link struct {
+	node NodeID
+	edge EdgeID
+}
+
+// links returns, per node, its neighbours in Neighbors order, each with the
+// joining segment.
+func (g Grid) links() [][]link {
+	n := g.NumNodes()
+	out := make([][]link, n)
+	buf := make([]link, 0, 4*n)
+	var nbuf [4]NodeID
+	for v := range n {
+		start := len(buf)
+		for _, nb := range g.Neighbors(NodeID(v), nbuf[:0]) {
+			buf = append(buf, link{node: nb, edge: g.EdgeBetween(NodeID(v), nb)})
+		}
+		out[v] = buf[start:len(buf):len(buf)]
+	}
+	return out
+}
+
 // IncidentEdges appends to buf the edges incident to n and returns the slice.
 func (g Grid) IncidentEdges(n NodeID, buf []EdgeID) []EdgeID {
 	r, c := g.Coords(n)

@@ -97,7 +97,7 @@ func PlaceUnit(g Grid, placed []NodeID) (NodeID, error) {
 			continue
 		}
 		c := 0
-		if len(g.Neighbors(site, nil)) < 3 {
+		if g.degree(site) < 3 {
 			c += cornerPenalty
 		}
 		for _, p := range placed {
@@ -141,7 +141,8 @@ func PlacePorts(g Grid, devices []NodeID) (in, out NodeID, err error) {
 				// A port next to a device would monopolize one of the
 				// device's few access channels.
 				blocked := false
-				for _, nb := range g.Neighbors(node, nil) {
+				var nbuf [4]NodeID
+				for _, nb := range g.Neighbors(node, nbuf[:0]) {
 					if taken[nb] {
 						blocked = true
 						break
@@ -248,10 +249,9 @@ func Place(g Grid, devices int, tasks []sched.Task, strategy PlacementStrategy) 
 	// almost as strongly.
 	const adjacencyPenalty = 100000
 	const cornerPenalty = 50000
-	degreeOf := func(site NodeID) int { return len(g.Neighbors(site, nil)) }
 	cost := func(dev int, site NodeID) int {
 		c := 0
-		if degreeOf(site) < 3 {
+		if g.degree(site) < 3 {
 			c += cornerPenalty
 		}
 		for other, p := range pos {

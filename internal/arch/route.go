@@ -1,8 +1,9 @@
 package arch
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flowsyn/internal/sched"
 )
@@ -142,7 +143,9 @@ func dropRoute(list []tagged, id int) []tagged {
 // router performs time-windowed shortest-path queries over the grid. Its
 // per-resource state is held in slices indexed by NodeID or EdgeID.
 type router struct {
-	grid     Grid
+	grid Grid
+	// links lists each node's neighbours with the joining segments.
+	links    [][]link
 	occ      *occupancy
 	isDevice []bool
 	// unit is the dedicated storage unit's node (-1 without one). It is
@@ -166,6 +169,64 @@ type router struct {
 	// pinned marks route ids installed verbatim from a pre-fault execution:
 	// rip-up may never evict them.
 	pinned map[int]bool
+	// trees, heap and cands are the working storage of the path queries,
+	// reused by every call: no query needs more than two live trees, and
+	// walkBack copies each path out of its tree.
+	trees [2]tree
+	heap  pq
+	cands []storageCandidate
+}
+
+// tree is one shortest-path tree: per node, the distance from the root and
+// the edge and node it was reached through (-1 for the root and for
+// unreachable nodes).
+type tree struct {
+	dist     []int
+	predEdge []EdgeID
+	predNode []NodeID
+}
+
+func newTree(nodes int) tree {
+	return tree{
+		dist:     make([]int, nodes),
+		predEdge: make([]EdgeID, nodes),
+		predNode: make([]NodeID, nodes),
+	}
+}
+
+// storageCandidate is a storage segment a stored task could cache on, fed
+// from u and fetched from v, with its estimated routing cost.
+type storageCandidate struct {
+	cost int
+	edge EdgeID
+	u, v NodeID
+}
+
+// candidateBefore orders storage candidates by estimated cost, then segment,
+// then feeding endpoint: a total order, since each segment is a candidate at
+// most once per orientation.
+func candidateBefore(a, b storageCandidate) bool {
+	if a.cost != b.cost {
+		return a.cost < b.cost
+	}
+	if a.edge != b.edge {
+		return a.edge < b.edge
+	}
+	return a.u < b.u
+}
+
+// selectCandidate moves the first of cands[k:] in candidateBefore order to
+// position k and returns it. Called for k = 0, 1, ... it yields the
+// candidates in sorted order.
+func selectCandidate(cands []storageCandidate, k int) storageCandidate {
+	best := k
+	for j := k + 1; j < len(cands); j++ {
+		if candidateBefore(cands[j], cands[best]) {
+			best = j
+		}
+	}
+	cands[k], cands[best] = cands[best], cands[k]
+	return cands[k]
 }
 
 // newRouter returns a router with no reservations over grid, whose device
@@ -174,6 +235,7 @@ type router struct {
 func newRouter(grid Grid, devices []NodeID, unit NodeID, opts Options) *router {
 	r := &router{
 		grid:          grid,
+		links:         grid.links(),
 		occ:           newOccupancy(grid),
 		isDevice:      make([]bool, grid.NumNodes()),
 		unit:          unit,
@@ -184,6 +246,7 @@ func newRouter(grid Grid, devices []NodeID, unit NodeID, opts Options) *router {
 		forbidden:     edgeMask(grid, opts.ForbiddenEdges),
 		noCache:       edgeMask(grid, opts.ForbiddenStorage),
 		pinned:        make(map[int]bool),
+		trees:         [2]tree{newTree(grid.NumNodes()), newTree(grid.NumNodes())},
 	}
 	for _, p := range devices {
 		r.isDevice[p] = true
@@ -251,7 +314,18 @@ func (r *router) applyReservations(id int, route Route) {
 		r.occ.reserveEdge(id, route.StorageEdge, fetchW)
 		r.reservePath(id, route.FetchNodes, route.FetchEdges, fetchW)
 	}
-	for _, e := range route.Edges() {
+	r.markUsed(&route)
+}
+
+// markUsed marks every segment of route used.
+func (r *router) markUsed(route *Route) {
+	for _, e := range route.OutEdges {
+		r.used[e] = true
+	}
+	if route.StorageEdge >= 0 {
+		r.used[route.StorageEdge] = true
+	}
+	for _, e := range route.FetchEdges {
 		r.used[e] = true
 	}
 }
@@ -259,10 +333,8 @@ func (r *router) applyReservations(id int, route Route) {
 // rebuildUsed recomputes the used-edge set from the committed routes.
 func (r *router) rebuildUsed(routes []Route) {
 	clear(r.used)
-	for _, route := range routes {
-		for _, e := range route.Edges() {
-			r.used[e] = true
-		}
+	for i := range routes {
+		r.markUsed(&routes[i])
 	}
 }
 
@@ -330,37 +402,37 @@ func (r *router) edgeCost(e EdgeID) int {
 
 const unreachable = 1 << 30
 
-// shortestTree runs Dijkstra from src during window w, avoiding reserved
-// resources and device nodes (except src itself and an optional allowed
-// target device node). banEdge, if >= 0, is additionally avoided (used to
-// keep a storage segment out of its own feeder paths). It returns dist and
-// predecessor arrays.
-func (r *router) shortestTree(src NodeID, w interval, allowDevice NodeID, banEdge EdgeID) (dist []int, predEdge []EdgeID, predNode []NodeID) {
-	n := r.grid.NumNodes()
-	dist = make([]int, n)
-	predEdge = make([]EdgeID, n)
-	predNode = make([]NodeID, n)
+// shortestTree runs Dijkstra from src during window w into tr, avoiding
+// reserved resources and device nodes (except src itself and an optional
+// allowed target device node). banEdge, if >= 0, is additionally avoided
+// (used to keep a storage segment out of its own feeder paths). With target
+// >= 0 the search stops once target is settled: its distance and the path to
+// it are then final, and the rest of the tree is left partial.
+func (r *router) shortestTree(tr *tree, src NodeID, w interval, allowDevice NodeID, banEdge EdgeID, target NodeID) {
+	dist, predEdge, predNode := tr.dist, tr.predEdge, tr.predNode
 	for i := range dist {
 		dist[i] = unreachable
 		predEdge[i] = -1
 		predNode[i] = -1
 	}
 	if !r.free(src, w) {
-		return dist, predEdge, predNode
+		return
 	}
 	dist[src] = 0
-	h := pq{{node: src, dist: 0}}
-	var nbuf [4]NodeID
+	h := append(r.heap[:0], pqItem{node: src, dist: 0})
 	for len(h) > 0 {
 		it := h.pop()
 		if it.dist > dist[it.node] {
 			continue
 		}
-		for _, nb := range r.grid.Neighbors(it.node, nbuf[:0]) {
+		if it.node == target {
+			break
+		}
+		for _, l := range r.links[it.node] {
+			nb, e := l.node, l.edge
 			if r.isDevice[nb] && nb != src && nb != allowDevice {
 				continue
 			}
-			e := r.grid.EdgeBetween(it.node, nb)
 			if e == banEdge || r.forbidden[e] || !r.occ.edgeFree(e, w) || !r.free(nb, w) {
 				continue
 			}
@@ -373,39 +445,25 @@ func (r *router) shortestTree(src NodeID, w interval, allowDevice NodeID, banEdg
 			}
 		}
 	}
-	return dist, predEdge, predNode
+	r.heap = h
 }
 
-func reverseNodes(in []NodeID) []NodeID {
-	out := make([]NodeID, len(in))
-	for i, n := range in {
-		out[len(in)-1-i] = n
+// walkBack copies out the path from tr's root to dst, in root..dst order
+// (edges nil when dst is the root).
+func walkBack(dst NodeID, tr *tree) (nodes []NodeID, edges []EdgeID) {
+	k := 0
+	for n := dst; tr.predNode[n] != -1; n = tr.predNode[n] {
+		k++
 	}
-	return out
-}
-
-func reverseEdges(in []EdgeID) []EdgeID {
-	out := make([]EdgeID, len(in))
-	for i, e := range in {
-		out[len(in)-1-i] = e
+	nodes = make([]NodeID, k+1)
+	if k > 0 {
+		edges = make([]EdgeID, k)
 	}
-	return out
-}
-
-// walkBack reconstructs the path src..dst from predecessor arrays.
-func walkBack(dst NodeID, predEdge []EdgeID, predNode []NodeID) (nodes []NodeID, edges []EdgeID) {
-	for n := dst; n != -1; n = predNode[n] {
-		nodes = append(nodes, n)
-		if predEdge[n] != -1 {
-			edges = append(edges, predEdge[n])
+	for n, i := dst, k; i >= 0; n, i = tr.predNode[n], i-1 {
+		nodes[i] = n
+		if i > 0 {
+			edges[i-1] = tr.predEdge[n]
 		}
-	}
-	// Reverse to src..dst order.
-	for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
-		nodes[i], nodes[j] = nodes[j], nodes[i]
-	}
-	for i, j := 0, len(edges)-1; i < j; i, j = i+1, j-1 {
-		edges[i], edges[j] = edges[j], edges[i]
 	}
 	return nodes, edges
 }
@@ -413,11 +471,12 @@ func walkBack(dst NodeID, predEdge []EdgeID, predNode []NodeID) (nodes []NodeID,
 // routeDirect finds and reserves a path for a Direct task under route id.
 func (r *router) routeDirect(id int, t sched.Task, src, dst NodeID) (Route, error) {
 	w := interval{t.Depart, t.Arrive}
-	dist, pe, pn := r.shortestTree(src, w, dst, -1)
-	if dist[dst] >= unreachable {
+	tr := &r.trees[0]
+	r.shortestTree(tr, src, w, dst, -1, dst)
+	if tr.dist[dst] >= unreachable {
 		return Route{}, fmt.Errorf("arch: no conflict-free path %v->%v during [%d,%d)", src, dst, w.Start, w.End)
 	}
-	nodes, edges := walkBack(dst, pe, pn)
+	nodes, edges := walkBack(dst, tr)
 	route := Route{Task: t, OutNodes: nodes, OutEdges: edges, StorageEdge: -1}
 	r.applyReservations(id, route)
 	return route, nil
@@ -435,21 +494,19 @@ func (r *router) routeStored(id int, t sched.Task, src, dst NodeID) (Route, erro
 	// Unconstrained trees estimate candidate costs; feasibility of each
 	// candidate is then checked with the candidate edge banned from its own
 	// feeder paths (the cheapest path to an endpoint often runs through the
-	// candidate segment itself).
-	distOut, _, _ := r.shortestTree(src, outW, -1, -1)
-	distFetch, _, _ := r.shortestTree(dst, fetchW, -1, -1)
+	// candidate segment itself). The candidate list holds the estimates, so
+	// the feasibility checks reuse both trees.
+	out, fetch := &r.trees[0], &r.trees[1]
+	r.shortestTree(out, src, outW, -1, -1, -1)
+	r.shortestTree(fetch, dst, fetchW, -1, -1, -1)
+	distOut, distFetch := out.dist, fetch.dist
 
 	// Device-incident segments may cache only for their own source or
 	// target device, and even then reluctantly: a cached sample parked on a
 	// device port would wall the device in for the whole storage lifetime
 	// (the paper's Fig. 11 caches in the interior switch mesh).
 	const devicePortPenalty = 1000
-	type candidate struct {
-		cost int
-		edge EdgeID
-		u, v NodeID
-	}
-	var cands []candidate
+	cands := r.cands[:0]
 	for e := 0; e < r.grid.NumEdges(); e++ {
 		eid := EdgeID(e)
 		if eid == r.bannedStorage || r.forbidden[eid] || r.noCache[eid] {
@@ -474,40 +531,40 @@ func (r *router) routeStored(id int, t sched.Task, src, dst NodeID) (Route, erro
 			if distOut[a] >= unreachable || distFetch[b] >= unreachable {
 				continue
 			}
-			cands = append(cands, candidate{
+			cands = append(cands, storageCandidate{
 				cost: distOut[a] + r.edgeCost(eid) + distFetch[b] + penalty,
 				edge: eid, u: a, v: b,
 			})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		if cands[i].edge != cands[j].edge {
-			return cands[i].edge < cands[j].edge
-		}
-		return cands[i].u < cands[j].u
-	})
+	r.cands = cands
 
-	for _, c := range cands {
-		dOut, peOut, pnOut := r.shortestTree(src, outW, -1, c.edge)
-		if dOut[c.u] >= unreachable {
+	// Candidates are tried in ascending (cost, edge, u) order. One
+	// selection step per try replaces sorting them all: the first one or two
+	// tried usually route.
+	for k := range cands {
+		c := selectCandidate(cands, k)
+		r.shortestTree(out, src, outW, -1, c.edge, c.u)
+		if out.dist[c.u] >= unreachable {
 			continue
 		}
-		dFetch, peFetch, pnFetch := r.shortestTree(dst, fetchW, -1, c.edge)
-		if dFetch[c.v] >= unreachable {
+		r.shortestTree(fetch, dst, fetchW, -1, c.edge, c.v)
+		if fetch.dist[c.v] >= unreachable {
 			continue
 		}
-		on, oe := walkBack(c.u, peOut, pnOut)
-		fnRev, feRev := walkBack(c.v, peFetch, pnFetch)
+		on, oe := walkBack(c.u, out)
+		// The fetch tree is rooted at dst: its dst..v path, reversed, runs
+		// from the storage segment to the destination.
+		fn, fe := walkBack(c.v, fetch)
+		slices.Reverse(fn)
+		slices.Reverse(fe)
 		route := Route{
 			Task:        t,
 			OutNodes:    on,
 			OutEdges:    oe,
 			StorageEdge: c.edge,
-			FetchNodes:  reverseNodes(fnRev),
-			FetchEdges:  reverseEdges(feRev),
+			FetchNodes:  fn,
+			FetchEdges:  fe,
 		}
 		r.applyReservations(id, route)
 		return route, nil
@@ -527,18 +584,19 @@ func (r *router) routeUnit(id int, t sched.Task, src, dst NodeID) (Route, error)
 	}
 	outW := interval{t.OutStart, t.OutEnd}
 	fetchW := interval{t.FetchStart, t.FetchEnd}
-	dOut, peOut, pnOut := r.shortestTree(src, outW, r.unit, -1)
-	if dOut[r.unit] >= unreachable {
+	tr := &r.trees[0]
+	r.shortestTree(tr, src, outW, r.unit, -1, r.unit)
+	if tr.dist[r.unit] >= unreachable {
 		return Route{}, fmt.Errorf("arch: no conflict-free store leg %v->unit %v during [%d,%d)",
 			src, r.unit, outW.Start, outW.End)
 	}
-	on, oe := walkBack(r.unit, peOut, pnOut)
-	dFetch, peFetch, pnFetch := r.shortestTree(r.unit, fetchW, dst, -1)
-	if dFetch[dst] >= unreachable {
+	on, oe := walkBack(r.unit, tr)
+	r.shortestTree(tr, r.unit, fetchW, dst, -1, dst)
+	if tr.dist[dst] >= unreachable {
 		return Route{}, fmt.Errorf("arch: no conflict-free fetch leg unit %v->%v during [%d,%d)",
 			r.unit, dst, fetchW.Start, fetchW.End)
 	}
-	fn, fe := walkBack(dst, peFetch, pnFetch)
+	fn, fe := walkBack(dst, tr)
 	route := Route{
 		Task:        t,
 		OutNodes:    on,
@@ -603,28 +661,30 @@ func (r *router) ripUpAndRetry(id int, t sched.Task, src, dst NodeID, routes []R
 			victims = append(victims, victim{j, route.Task.CacheDuration()})
 		}
 	}
-	sort.Slice(victims, func(a, b int) bool {
-		sa, sb := routes[victims[a].idx].Task.Kind == sched.Stored,
-			routes[victims[b].idx].Task.Kind == sched.Stored
+	slices.SortFunc(victims, func(a, b victim) int {
+		sa, sb := routes[a.idx].Task.Kind == sched.Stored, routes[b.idx].Task.Kind == sched.Stored
 		if sa != sb {
-			return sa
+			if sa {
+				return -1
+			}
+			return 1
 		}
-		if victims[a].cache != victims[b].cache {
-			return victims[a].cache > victims[b].cache
+		if a.cache != b.cache {
+			return cmp.Compare(b.cache, a.cache)
 		}
-		return victims[a].idx < victims[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 
 	saved := make(map[int]Route)
 	var evicted []int
+	// rebuild recomputes the used-edge set from the routes not evicted.
 	rebuild := func() {
-		kept := make([]Route, 0, len(routes))
-		for j, route := range routes {
+		clear(r.used)
+		for j := range routes {
 			if _, gone := saved[j]; !gone {
-				kept = append(kept, route)
+				r.markUsed(&routes[j])
 			}
 		}
-		r.rebuildUsed(kept)
 	}
 	rollback := func(rehomed []int) {
 		r.occ.release(id)

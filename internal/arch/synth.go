@@ -1,9 +1,10 @@
 package arch
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"flowsyn/internal/dedicated"
@@ -87,15 +88,6 @@ type Result struct {
 	Runtime time.Duration
 }
 
-// UsedEdgeSet returns the used edges as a set.
-func (r *Result) UsedEdgeSet() map[EdgeID]bool {
-	set := make(map[EdgeID]bool, len(r.UsedEdges))
-	for _, e := range r.UsedEdges {
-		set[e] = true
-	}
-	return set
-}
-
 // IsDeviceNode reports whether n hosts a device (or the dedicated storage
 // unit, which is device-like for routing and valve accounting).
 func (r *Result) IsDeviceNode(n NodeID) bool {
@@ -122,7 +114,7 @@ func (r *Result) Switches() []NodeID {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -152,7 +144,7 @@ func SynthesizeContext(ctx context.Context, s *sched.Schedule, grid Grid, opts O
 		ports = 2
 		nPlaced += ports
 	}
-	tasks := expectedTasks(s, internalTasks, ports)
+	tasks := ExpectedTasks(s, internalTasks, ports)
 
 	// A schedule that routed fluids through the dedicated unit (dedicated or
 	// hybrid storage strategy) needs a unit node on the chip; the need is
@@ -324,7 +316,7 @@ func SynthesizeContext(ctx context.Context, s *sched.Schedule, grid Grid, opts O
 		Runtime:     time.Since(start),
 	}
 	if unitNode >= 0 {
-		res.UnitCells = s.UnitCells()
+		res.UnitCells = sched.UnitCellsOf(internalTasks)
 		res.UnitValves = dedicated.UnitValves(res.UnitCells)
 	}
 	// Used edges come from the final routes (rip-up may orphan edges the
@@ -363,28 +355,23 @@ func SynthesizeContext(ctx context.Context, s *sched.Schedule, grid Grid, opts O
 }
 
 // ExpectedTasks returns the complete transportation workload of the schedule
-// in routing order: the internal device-to-device tasks plus, when ports is
-// 2, the chip-boundary I/O tasks (input port at pseudo-device s.Devices,
-// output port at s.Devices+1), merged by the time their first movement
-// starts. It is the exact task list SynthesizeContext routes, exposed so an
-// independent checker (internal/verify) can re-derive it.
-func ExpectedTasks(s *sched.Schedule, ports int) []sched.Task {
-	return expectedTasks(s, s.Tasks(), ports)
-}
-
-// expectedTasks merges the precomputed internal workload with the I/O tasks,
-// letting SynthesizeContext reuse the task list it already derived.
-func expectedTasks(s *sched.Schedule, internal []sched.Task, ports int) []sched.Task {
+// in routing order: the internal device-to-device tasks (internal, which must
+// be s.Tasks()) plus, when ports is 2, the chip-boundary I/O tasks (input
+// port at pseudo-device s.Devices, output port at s.Devices+1), merged by the
+// time their first movement starts. It is the exact task list
+// SynthesizeContext routes, exposed so an independent checker
+// (internal/verify) can re-derive it. Without ports it returns internal
+// itself.
+func ExpectedTasks(s *sched.Schedule, internal []sched.Task, ports int) []sched.Task {
 	if ports == 0 {
 		return internal
 	}
 	tasks := append(append([]sched.Task(nil), internal...), s.IOTasks(s.Devices, s.Devices+1)...)
-	sort.SliceStable(tasks, func(i, j int) bool {
-		si, sj := taskStart(tasks[i]), taskStart(tasks[j])
-		if si != sj {
-			return si < sj
+	slices.SortStableFunc(tasks, func(a, b sched.Task) int {
+		if sa, sb := taskStart(a), taskStart(b); sa != sb {
+			return cmp.Compare(sa, sb)
 		}
-		return tasks[i].Edge.Parent < tasks[j].Edge.Parent
+		return cmp.Compare(a.Edge.Parent, b.Edge.Parent)
 	})
 	return tasks
 }

@@ -38,7 +38,7 @@ func TestExpectedTasksMatchesRoutedWorkload(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			res, s := synthesizeBenchmark(t, name)
-			tasks := ExpectedTasks(s, res.Ports)
+			tasks := ExpectedTasks(s, s.Tasks(), res.Ports)
 			if len(tasks) != len(res.Routes) {
 				t.Fatalf("ExpectedTasks returns %d tasks, synthesis routed %d", len(tasks), len(res.Routes))
 			}

@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"flowsyn/internal/seqgraph"
 )
@@ -50,12 +51,11 @@ func Compact(s *Schedule) {
 	for i := range order {
 		order[i] = seqgraph.OpID(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := s.Assignments[order[a]].End, s.Assignments[order[b]].End
-		if ea != eb {
-			return ea > eb
+	slices.SortFunc(order, func(a, b seqgraph.OpID) int {
+		if ea, eb := s.Assignments[a].End, s.Assignments[b].End; ea != eb {
+			return cmp.Compare(eb, ea)
 		}
-		return order[a] > order[b]
+		return cmp.Compare(b, a)
 	})
 
 	const inf = 1 << 30

@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"flowsyn/internal/seqgraph"
 )
@@ -119,21 +118,25 @@ func ListScheduleContext(ctx context.Context, g *seqgraph.Graph, opts ListOption
 			remainingParents[e.Child]++
 		}
 	}
+	// fresh[op] is the latest end among op's parents (-1 for none), recorded
+	// when op becomes ready: its parents are placed by then, so it never
+	// changes.
+	fresh := make([]int, g.NumOps())
 	var ready []seqgraph.OpID
-	for id, done := range pl.done {
-		if !done && remainingParents[id] == 0 {
-			ready = append(ready, seqgraph.OpID(id))
-		}
-	}
-
-	freshness := func(op seqgraph.OpID) int {
+	makeReady := func(op seqgraph.OpID) {
 		f := -1
 		for _, p := range g.Parents(op) {
 			if e := s.Assignments[p].End; e > f {
 				f = e
 			}
 		}
-		return f
+		fresh[op] = f
+		ready = append(ready, op)
+	}
+	for id, done := range pl.done {
+		if !done && remainingParents[id] == 0 {
+			makeReady(seqgraph.OpID(id))
+		}
 	}
 
 	for scheduledCount := pinnedCount; scheduledCount < g.NumOps(); scheduledCount++ {
@@ -145,21 +148,10 @@ func ListScheduleContext(ctx context.Context, g *seqgraph.Graph, opts ListOption
 				g.NumOps()-scheduledCount)
 		}
 		// Pick the next operation.
-		sort.Slice(ready, func(i, j int) bool {
-			a, b := ready[i], ready[j]
-			if opts.Mode == TimeAndStorage {
-				fa, fb := freshness(a), freshness(b)
-				if fa != fb {
-					return fa > fb // freshest parents first
-				}
-			}
-			if prio[a] != prio[b] {
-				return prio[a] > prio[b]
-			}
-			return a < b
-		})
-		op := ready[0]
-		ready = ready[1:]
+		i := pickReady(ready, fresh, prio, opts.Mode)
+		op := ready[i]
+		ready[i] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
 
 		// Pick its device. In storage mode a device that avoids transports
 		// (direct pass from a parent) is worth a modest start-time delay:
@@ -184,7 +176,7 @@ func ListScheduleContext(ctx context.Context, g *seqgraph.Graph, opts ListOption
 		for _, c := range g.Children(op) {
 			remainingParents[c]--
 			if remainingParents[c] == 0 {
-				ready = append(ready, c)
+				makeReady(c)
 			}
 		}
 	}
@@ -194,4 +186,27 @@ func ListScheduleContext(ctx context.Context, g *seqgraph.Graph, opts ListOption
 		return nil, fmt.Errorf("sched: list scheduler produced invalid schedule: %w", err)
 	}
 	return s, nil
+}
+
+// pickReady returns the index in ready of the operation to place next: under
+// TimeAndStorage the one whose parents finished last (fresh), then the one
+// with the highest critical-path priority, then the lowest id. The order is
+// total, so this is the operation a sort of ready by it would put first.
+func pickReady(ready []seqgraph.OpID, fresh, prio []int, mode Mode) int {
+	before := func(a, b seqgraph.OpID) bool {
+		if mode == TimeAndStorage && fresh[a] != fresh[b] {
+			return fresh[a] > fresh[b] // freshest parents first
+		}
+		if prio[a] != prio[b] {
+			return prio[a] > prio[b]
+		}
+		return a < b
+	}
+	best := 0
+	for i := 1; i < len(ready); i++ {
+		if before(ready[i], ready[best]) {
+			best = i
+		}
+	}
+	return best
 }

@@ -18,8 +18,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flowsyn/internal/seqgraph"
 )
@@ -95,15 +96,28 @@ func (s *Schedule) computeMakespan() {
 
 // byDevice returns, per device, its assignments sorted by start time.
 func (s *Schedule) byDevice() [][]Assignment {
+	count := make([]int, s.Devices)
+	for _, a := range s.Assignments {
+		count[a.Device]++
+	}
 	out := make([][]Assignment, s.Devices)
+	buf := make([]Assignment, len(s.Assignments))
+	off := 0
+	for d, n := range count {
+		out[d] = buf[off : off : off+n]
+		off += n
+	}
 	for _, a := range s.Assignments {
 		out[a.Device] = append(out[a.Device], a)
 	}
-	for d := range out {
-		sort.Slice(out[d], func(i, j int) bool { return out[d][i].Start < out[d][j].Start })
+	for _, list := range out {
+		slices.SortFunc(list, cmpStart)
 	}
 	return out
 }
+
+// cmpStart orders assignments by start time.
+func cmpStart(a, b Assignment) int { return cmp.Compare(a.Start, b.Start) }
 
 // Validate checks the schedule against the paper's constraints (Table 1):
 // uniqueness (every op assigned to a valid device exactly once), duration,
@@ -184,7 +198,7 @@ func (s *Schedule) validateUnitWindows() error {
 		}
 		wins = append(wins, [2]int{w.StoreStart, w.StoreStart + uc}, [2]int{w.FetchStart, w.FetchStart + uc})
 	}
-	sort.Slice(wins, func(i, j int) bool { return wins[i][0] < wins[j][0] })
+	slices.SortFunc(wins, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
 	for i := 1; i < len(wins); i++ {
 		if wins[i][0] < wins[i-1][1] {
 			return fmt.Errorf("sched: unit port windows [%d,%d) and [%d,%d) overlap",

@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"flowsyn/internal/seqgraph"
 )
@@ -60,9 +61,19 @@ type PortTimeline struct {
 }
 
 // Grant books the earliest free window of the given length starting at or
-// after t and returns its start. The result is independent of the internal
-// window order (the scan restarts until no conflict remains).
+// after t and returns its start.
 func (l *PortTimeline) Grant(t, length int) int {
+	t = l.earliest(t, length)
+	if length > 0 {
+		l.windows = append(l.windows, [2]int{t, t + length})
+	}
+	return t
+}
+
+// earliest returns the start of the earliest free window of the given length
+// at or after t, without booking it. The result is independent of the
+// internal window order (the scan restarts until no conflict remains).
+func (l *PortTimeline) earliest(t, length int) int {
 	if length <= 0 {
 		return t
 	}
@@ -77,7 +88,6 @@ func (l *PortTimeline) Grant(t, length int) int {
 			}
 		}
 		if !conflict {
-			l.windows = append(l.windows, [2]int{t, t + length})
 			return t
 		}
 	}
@@ -86,10 +96,12 @@ func (l *PortTimeline) Grant(t, length int) int {
 // peekPair returns the store/fetch grants a stored edge departing at t would
 // receive, without booking them. fetchFloor is the earliest instant the fetch
 // may begin (the chamber-readiness bound; see storageState.fetchStartFloor).
+// The fetch is requested at or after the end of the store grant, so the
+// store's own window can never conflict with it: both grants are earliest-fit
+// scans of the windows already booked.
 func (l *PortTimeline) peekPair(t, length, fetchFloor int) (gs, gf int) {
-	scratch := PortTimeline{windows: append([][2]int(nil), l.windows...)}
-	gs = scratch.Grant(t, length)
-	gf = scratch.Grant(max(gs+length, fetchFloor), length)
+	gs = l.earliest(t, length)
+	gf = l.earliest(max(gs+length, fetchFloor), length)
 	return gs, gf
 }
 
@@ -117,6 +129,8 @@ type storageState struct {
 	windows    map[seqgraph.Edge]UnitWindow
 	residents  []channelResident
 	queueDelay int
+	// evs is channelFits' event buffer, reused across calls.
+	evs []cacheEvent
 }
 
 func newStorageState(m StorageModel, transport int) *storageState {
@@ -151,8 +165,7 @@ func (st *storageState) channelFits(from, to int) bool {
 		return false
 	}
 	// Peak concurrent residents over [from, to), plus the newcomer.
-	type event struct{ t, d int }
-	var evs []event
+	evs := st.evs[:0]
 	for _, r := range st.residents {
 		lo, hi := r.depart, r.fetchStart
 		if lo < from {
@@ -162,18 +175,14 @@ func (st *storageState) channelFits(from, to int) bool {
 			hi = to
 		}
 		if lo < hi {
-			evs = append(evs, event{lo, +1}, event{hi, -1})
+			evs = append(evs, cacheEvent{lo, +1}, cacheEvent{hi, -1})
 		}
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
-		}
-		return evs[i].d < evs[j].d
-	})
+	st.evs = evs
+	slices.SortFunc(evs, cmpCacheEvent)
 	cur := 0
 	for _, e := range evs {
-		cur += e.d
+		cur += e.delta
 		if cur+1 > slots {
 			return false
 		}
@@ -200,19 +209,19 @@ func (st *storageState) demoteVictim(from, to int) bool {
 		return false
 	}
 	lru := st.model.EvictionName() != "earliest-next-fetch"
-	sort.Slice(cands, func(a, b int) bool {
-		ra, rb := st.residents[cands[a]], st.residents[cands[b]]
+	slices.SortFunc(cands, func(a, b int) int {
+		ra, rb := st.residents[a], st.residents[b]
 		if lru {
 			if ra.depart != rb.depart {
-				return ra.depart < rb.depart
+				return cmp.Compare(ra.depart, rb.depart)
 			}
 		} else if ra.fetchStart != rb.fetchStart {
-			return ra.fetchStart < rb.fetchStart
+			return cmp.Compare(ra.fetchStart, rb.fetchStart)
 		}
 		if ra.edge.Parent != rb.edge.Parent {
-			return ra.edge.Parent < rb.edge.Parent
+			return cmp.Compare(ra.edge.Parent, rb.edge.Parent)
 		}
-		return ra.edge.Child < rb.edge.Child
+		return cmp.Compare(ra.edge.Child, rb.edge.Child)
 	})
 	for _, i := range cands {
 		r := st.residents[i]

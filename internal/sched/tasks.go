@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flowsyn/internal/seqgraph"
 )
@@ -125,8 +126,8 @@ func (s *Schedule) Tasks() []Task {
 	fetchLen := s.Transport - outLen
 
 	// First pass: classify each transported edge and compute departures.
-	var tasks []Task
-	storedByChild := make(map[seqgraph.OpID][]int) // child -> task indices
+	tasks := make([]Task, 0, len(g.Edges()))
+	storedByChild := make([][]int, g.NumOps()) // child -> task indices
 	for _, e := range g.Edges() {
 		p, c := s.Assignments[e.Parent], s.Assignments[e.Child]
 		if w, ok := s.UnitWindows[e]; ok {
@@ -179,12 +180,12 @@ func (s *Schedule) Tasks() []Task {
 		if len(idxs) < 2 {
 			continue
 		}
-		sort.Slice(idxs, func(a, b int) bool {
-			ta, tb := tasks[idxs[a]], tasks[idxs[b]]
+		slices.SortFunc(idxs, func(a, b int) int {
+			ta, tb := &tasks[a], &tasks[b]
 			if ta.OutStart != tb.OutStart {
-				return ta.OutStart < tb.OutStart
+				return cmp.Compare(ta.OutStart, tb.OutStart)
 			}
-			return ta.Edge.Parent < tb.Edge.Parent
+			return cmp.Compare(ta.Edge.Parent, tb.Edge.Parent)
 		})
 		// The last-departing sample fetches last (closest to the start).
 		for rank, i := range idxs {
@@ -207,12 +208,11 @@ func (s *Schedule) Tasks() []Task {
 			t.FetchStart, t.FetchEnd = fs, fe
 		}
 	}
-	sort.SliceStable(tasks, func(i, j int) bool {
-		si, sj := tasks[i].startTime(), tasks[j].startTime()
-		if si != sj {
-			return si < sj
+	slices.SortStableFunc(tasks, func(a, b Task) int {
+		if sa, sb := a.startTime(), b.startTime(); sa != sb {
+			return cmp.Compare(sa, sb)
 		}
-		return tasks[i].Edge.Parent < tasks[j].Edge.Parent
+		return cmp.Compare(a.Edge.Parent, b.Edge.Parent)
 	})
 	return tasks
 }
@@ -260,11 +260,11 @@ func (s *Schedule) IOTasks(inPort, outPort int) []Task {
 	// serialized: a load whose window would overlap the next one's is
 	// shifted earlier (the reagent simply arrives a little before its
 	// operation needs it). Unloads shift later symmetrically.
-	sort.SliceStable(loads, func(i, j int) bool {
-		if loads[i].Arrive != loads[j].Arrive {
-			return loads[i].Arrive < loads[j].Arrive
+	slices.SortStableFunc(loads, func(a, b Task) int {
+		if a.Arrive != b.Arrive {
+			return cmp.Compare(a.Arrive, b.Arrive)
 		}
-		return loads[i].Edge.Parent < loads[j].Edge.Parent
+		return cmp.Compare(a.Edge.Parent, b.Edge.Parent)
 	})
 	for i := len(loads) - 2; i >= 0; i-- {
 		if loads[i].Arrive > loads[i+1].Depart {
@@ -281,12 +281,7 @@ func (s *Schedule) IOTasks(inPort, outPort int) []Task {
 			loads[i].Arrive = loads[i].Depart + 1
 		}
 	}
-	sort.SliceStable(unloads, func(i, j int) bool {
-		if unloads[i].Depart != unloads[j].Depart {
-			return unloads[i].Depart < unloads[j].Depart
-		}
-		return unloads[i].Edge.Parent < unloads[j].Edge.Parent
-	})
+	slices.SortStableFunc(unloads, cmpDepart)
 	for i := 1; i < len(unloads); i++ {
 		if unloads[i].Depart < unloads[i-1].Arrive {
 			unloads[i].Depart = unloads[i-1].Arrive
@@ -295,13 +290,16 @@ func (s *Schedule) IOTasks(inPort, outPort int) []Task {
 	}
 
 	tasks := append(loads, unloads...)
-	sort.SliceStable(tasks, func(i, j int) bool {
-		if tasks[i].Depart != tasks[j].Depart {
-			return tasks[i].Depart < tasks[j].Depart
-		}
-		return tasks[i].Edge.Parent < tasks[j].Edge.Parent
-	})
+	slices.SortStableFunc(tasks, cmpDepart)
 	return tasks
+}
+
+// cmpDepart orders tasks by departure, then by parent operation.
+func cmpDepart(a, b Task) int {
+	if a.Depart != b.Depart {
+		return cmp.Compare(a.Depart, b.Depart)
+	}
+	return cmp.Compare(a.Edge.Parent, b.Edge.Parent)
 }
 
 // StoreCount returns the number of Stored tasks — the "store operations" the
@@ -320,35 +318,46 @@ func (s *Schedule) StoreCount() int {
 // the required capacity of a storage system for this schedule (three for the
 // paper's Fig. 2(b) schedule, two for Fig. 2(c)).
 func (s *Schedule) StorageCapacity() int {
-	return s.storagePeak(func(Task) bool { return true })
+	return storagePeak(s.Tasks(), false)
 }
 
 // UnitCells returns the peak number of fluids resident in the dedicated
 // storage unit simultaneously — the cell count its mux must address. Zero
 // for distributed schedules and for strategy schedules that never stored.
 func (s *Schedule) UnitCells() int {
-	return s.storagePeak(func(t Task) bool { return t.Unit })
+	return UnitCellsOf(s.Tasks())
 }
 
-// storagePeak returns the peak number of stored fluids that keep selects
-// cached at once.
-func (s *Schedule) storagePeak(keep func(Task) bool) int {
-	type event struct {
-		t, delta int
+// UnitCellsOf is UnitCells over an already derived task list (the schedule's
+// Tasks), for callers that hold one.
+func UnitCellsOf(tasks []Task) int {
+	return storagePeak(tasks, true)
+}
+
+// cacheEvent is a change in the number of stored fluids at instant t: +1
+// when one starts waiting, -1 when it is fetched.
+type cacheEvent struct{ t, delta int }
+
+// cmpCacheEvent orders events by time, fetches before stores at equal
+// instants.
+func cmpCacheEvent(a, b cacheEvent) int {
+	if a.t != b.t {
+		return cmp.Compare(a.t, b.t)
 	}
-	var evs []event
-	for _, t := range s.Tasks() {
-		if t.Kind != Stored || !keep(t) {
+	return cmp.Compare(a.delta, b.delta)
+}
+
+// storagePeak returns the peak number of stored fluids among tasks cached at
+// once, counting unit residents only when unitOnly is set.
+func storagePeak(tasks []Task, unitOnly bool) int {
+	var evs []cacheEvent
+	for _, t := range tasks {
+		if t.Kind != Stored || (unitOnly && !t.Unit) {
 			continue
 		}
-		evs = append(evs, event{t.OutEnd, +1}, event{t.FetchStart, -1})
+		evs = append(evs, cacheEvent{t.OutEnd, +1}, cacheEvent{t.FetchStart, -1})
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
-		}
-		return evs[i].delta < evs[j].delta // fetch before store at equal time
-	})
+	slices.SortFunc(evs, cmpCacheEvent)
 	cur, max := 0, 0
 	for _, e := range evs {
 		cur += e.delta

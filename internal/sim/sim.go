@@ -6,7 +6,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"flowsyn/internal/arch"
 	"flowsyn/internal/sched"
@@ -72,7 +72,9 @@ type Snapshot struct {
 	// rendered (all idle) but carries no execution state, and
 	// callers should not mistake it for a quiet moment mid-run.
 	OutOfRange bool
-	// Segment maps every grid edge to its state at Time.
+	// Segment maps every built segment (the chip's UsedEdges) to its state
+	// at Time. A pruned edge is absent and reads as the zero value Unused,
+	// which the renderers rely on.
 	Segment map[arch.EdgeID]SegmentState
 	// RunningOps lists operations executing at Time, in OpID order.
 	RunningOps []string
@@ -95,12 +97,26 @@ func (sim *Simulator) Horizon() int { return sim.horizon }
 
 // At computes the chip state at time t.
 func (sim *Simulator) At(t int) *Snapshot {
-	snap := &Snapshot{
-		Time:    t,
-		Segment: make(map[arch.EdgeID]SegmentState, sim.res.Grid.NumEdges()),
+	snap := &Snapshot{}
+	sim.Fill(snap, t)
+	return snap
+}
+
+// Fill computes the chip state at time t into snap, reusing its storage: the
+// segment map is cleared and the slices truncated. A caller replaying many
+// instants fills one snapshot instead of allocating one per instant.
+func (sim *Simulator) Fill(snap *Snapshot, t int) {
+	if snap.Segment == nil {
+		snap.Segment = make(map[arch.EdgeID]SegmentState, len(sim.res.UsedEdges))
+	} else {
+		clear(snap.Segment)
 	}
-	if t < 0 || t > sim.horizon {
-		snap.OutOfRange = true
+	*snap = Snapshot{
+		Time:         t,
+		OutOfRange:   t < 0 || t > sim.horizon,
+		Segment:      snap.Segment,
+		RunningOps:   snap.RunningOps[:0],
+		ActiveRoutes: snap.ActiveRoutes[:0],
 	}
 	for _, e := range sim.res.UsedEdges {
 		snap.Segment[e] = Idle
@@ -166,8 +182,7 @@ func (sim *Simulator) At(t int) *Snapshot {
 			snap.RunningOps = append(snap.RunningOps, sim.sched.Graph.Op(a.Op).Name)
 		}
 	}
-	sort.Strings(snap.RunningOps)
-	return snap
+	slices.Sort(snap.RunningOps)
 }
 
 // Utilization summarizes how efficiently the built channel segments are
@@ -260,7 +275,7 @@ func (sim *Simulator) InterestingTimes() []int {
 	for t := range set {
 		out = append(out, t)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 

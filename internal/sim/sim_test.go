@@ -29,15 +29,38 @@ func simulatorFor(t *testing.T, name string) (*Simulator, *sched.Schedule, *arch
 	return New(res, s), s, res
 }
 
+// usedEdgeSet returns the chip's used edges as a set.
+func usedEdgeSet(res *arch.Result) map[arch.EdgeID]bool {
+	set := make(map[arch.EdgeID]bool, len(res.UsedEdges))
+	for _, e := range res.UsedEdges {
+		set[e] = true
+	}
+	return set
+}
+
 func TestSnapshotStates(t *testing.T) {
 	sim, s, res := simulatorFor(t, "RA30")
 	// At every interesting moment the snapshot must be internally
-	// consistent: used edges have states, unused edges have none.
-	usedSet := res.UsedEdgeSet()
+	// consistent: used edges have states, unused edges have none and read
+	// as Unused (the renderers rely on it).
+	usedSet := usedEdgeSet(res)
+	pruned := arch.EdgeID(-1)
+	for e := range res.Grid.NumEdges() {
+		if !usedSet[arch.EdgeID(e)] {
+			pruned = arch.EdgeID(e)
+			break
+		}
+	}
+	if pruned < 0 {
+		t.Fatal("RA30 chip keeps every grid edge; no pruned edge to check")
+	}
 	for _, ts := range sim.InterestingTimes() {
 		snap := sim.At(ts)
 		if len(snap.Segment) != len(res.UsedEdges) {
 			t.Fatalf("t=%d: %d segment states for %d used edges", ts, len(snap.Segment), len(res.UsedEdges))
+		}
+		if st := snap.Segment[pruned]; st != Unused {
+			t.Fatalf("t=%d: pruned edge %d reads %v, want unused", ts, pruned, st)
 		}
 		for e, st := range snap.Segment {
 			if !usedSet[e] {
@@ -100,7 +123,7 @@ func TestUtilization(t *testing.T) {
 		if busy > u.Makespan {
 			t.Errorf("edge %d busy %d s > makespan %d", e, busy, u.Makespan)
 		}
-		if !res.UsedEdgeSet()[e] {
+		if !usedEdgeSet(res)[e] {
 			t.Errorf("busy seconds recorded for unused edge %d", e)
 		}
 	}

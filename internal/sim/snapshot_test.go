@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"flowsyn/internal/arch"
@@ -96,6 +98,30 @@ func TestPCRSnapshotInternalConsistency(t *testing.T) {
 		}
 		if len(snap.ActiveRoutes) > 0 && busy == 0 {
 			t.Errorf("t=%d: %d active routes but no busy segment", ts, len(snap.ActiveRoutes))
+		}
+	}
+}
+
+// TestFillReusesSnapshot fills one snapshot across the whole execution and
+// checks every instant against a fresh At, on the chip and on a copy missing
+// one used segment (whose routes then add a segment outside UsedEdges):
+// clearing the map and truncating the slices must leave nothing of the
+// previous instant behind.
+func TestFillReusesSnapshot(t *testing.T) {
+	chip, s := pcrSimulator(t)
+	pruned := *chip.res
+	pruned.UsedEdges = pruned.UsedEdges[1:]
+	for _, sim := range []*Simulator{chip, New(&pruned, s)} {
+		snap := &Snapshot{}
+		for tm := -1; tm <= sim.Horizon()+1; tm++ {
+			sim.Fill(snap, tm)
+			want := sim.At(tm)
+			if snap.Time != want.Time || snap.OutOfRange != want.OutOfRange ||
+				snap.CachedSamples != want.CachedSamples || snap.UnitSamples != want.UnitSamples ||
+				!maps.Equal(snap.Segment, want.Segment) ||
+				!slices.Equal(snap.RunningOps, want.RunningOps) || !slices.Equal(snap.ActiveRoutes, want.ActiveRoutes) {
+				t.Fatalf("t=%d: reused snapshot %+v differs from a fresh one %+v", tm, snap, want)
+			}
 		}
 	}
 }

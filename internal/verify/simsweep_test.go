@@ -194,3 +194,41 @@ func TestCheckSimCatchesOneSecondDisagreement(t *testing.T) {
 		t.Fatalf("want a %s violation, got %v", verify.InvSimAgreement, err)
 	}
 }
+
+// TestCheckSimErrorIsDeterministic drops two segments of one transport from
+// a chip's UsedEdges, so simulator and checker disagree at several instants,
+// and requires CheckSim to render the same error text on every call.
+func TestCheckSimErrorIsDeterministic(t *testing.T) {
+	s, a := synthesized(t)
+	var route *arch.Route
+	for i := range a.Routes {
+		if len(a.Routes[i].OutEdges) >= 2 {
+			route = &a.Routes[i]
+			break
+		}
+	}
+	if route == nil {
+		t.Fatal("no route with two segments")
+	}
+	m := *a
+	m.UsedEdges = slices.DeleteFunc(slices.Clone(a.UsedEdges), func(e arch.EdgeID) bool {
+		return e == route.OutEdges[0] || e == route.OutEdges[1]
+	})
+	var first string
+	for call := 0; call < 20; call++ {
+		err := verify.CheckSim(s, &m)
+		if err == nil {
+			t.Fatal("CheckSim accepts a chip missing two used segments")
+		}
+		verr, ok := err.(*verify.Error)
+		if !ok {
+			t.Fatalf("want a *verify.Error, got %v", err)
+		}
+		text := fmt.Sprint(verr.Violations)
+		if call == 0 {
+			first = text
+		} else if text != first {
+			t.Fatalf("call %d reports %s, call 0 reported %s", call, text, first)
+		}
+	}
+}

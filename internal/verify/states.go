@@ -46,8 +46,12 @@ type roleWindow struct {
 // route's task windows flattened into per-segment interval claims, built
 // once and evaluated at any instant.
 type Accounting struct {
+	// edges lists the built segments (the chip's UsedEdges, first
+	// occurrences only) in order, and windows[i] holds the claims on
+	// edges[i] in route order. Claims on other segments are dropped: they
+	// never decide a built segment's role.
 	edges   []arch.EdgeID
-	windows map[arch.EdgeID][]roleWindow
+	windows [][]roleWindow
 	// caches holds every caching window, for the cached-fluid count.
 	caches []roleWindow
 	// unitCaches holds every unit-residency window (fluids waiting inside the
@@ -63,13 +67,20 @@ type Accounting struct {
 // Claims are recorded in route order, later routes after earlier ones, so
 // evaluation resolves overlaps exactly like the simulator's route replay.
 func NewAccounting(a *arch.Result) *Accounting {
-	ac := &Accounting{
-		edges:   a.UsedEdges,
-		windows: make(map[arch.EdgeID][]roleWindow, len(a.UsedEdges)),
+	ac := &Accounting{edges: make([]arch.EdgeID, 0, len(a.UsedEdges))}
+	index := make(map[arch.EdgeID]int, len(a.UsedEdges))
+	for _, e := range a.UsedEdges {
+		if _, dup := index[e]; !dup {
+			index[e] = len(ac.edges)
+			ac.edges = append(ac.edges, e)
+		}
 	}
+	ac.windows = make([][]roleWindow, len(ac.edges))
 	add := func(e arch.EdgeID, w roleWindow) {
 		if w.start < w.end {
-			ac.windows[e] = append(ac.windows[e], w)
+			if i, ok := index[e]; ok {
+				ac.windows[i] = append(ac.windows[i], w)
+			}
 			if w.end > ac.horizon {
 				ac.horizon = w.end
 			}
@@ -117,23 +128,35 @@ func NewAccounting(a *arch.Result) *Accounting {
 // the number of cached fluids.
 func (ac *Accounting) At(t int) (states map[arch.EdgeID]SegmentRole, cached int) {
 	states = make(map[arch.EdgeID]SegmentRole, len(ac.edges))
-	for _, e := range ac.edges {
-		role := RoleIdle
-		// Later claims win, mirroring the simulator's route-order replay;
-		// on a valid chip the claims are disjoint anyway.
-		for _, w := range ac.windows[e] {
-			if t >= w.start && t < w.end {
-				role = w.role
-			}
-		}
-		states[e] = role
+	for i, e := range ac.edges {
+		states[e] = ac.roleAt(i, t)
 	}
+	return states, ac.cachedAt(t)
+}
+
+// roleAt returns the role of the built segment ac.edges[i] at time t.
+func (ac *Accounting) roleAt(i, t int) SegmentRole {
+	role := RoleIdle
+	// Later claims win, mirroring the simulator's route-order replay; on a
+	// valid chip the claims are disjoint anyway.
+	for _, w := range ac.windows[i] {
+		if t >= w.start && t < w.end {
+			role = w.role
+		}
+	}
+	return role
+}
+
+// cachedAt returns the number of fluids cached in channel segments at time
+// t.
+func (ac *Accounting) cachedAt(t int) int {
+	n := 0
 	for _, w := range ac.caches {
 		if t >= w.start && t < w.end {
-			cached++
+			n++
 		}
 	}
-	return states, cached
+	return n
 }
 
 // UnitAt returns the number of fluids resident in the dedicated storage unit
@@ -195,32 +218,11 @@ func CheckSim(s *sched.Schedule, a *arch.Result) error {
 	if ac.horizon > horizon {
 		horizon = ac.horizon
 	}
+	// One snapshot serves every change point.
+	snap := &sim.Snapshot{}
 	for _, t := range changePoints(a, horizon) {
-		snap := simulator.At(t)
-		states, cached := ac.At(t)
-		if snap.CachedSamples != cached {
-			r.addf(InvSimAgreement, "t=%d: simulator reports %d cached fluids, checker %d",
-				t, snap.CachedSamples, cached)
-		}
-		if unit := ac.UnitAt(t); snap.UnitSamples != unit {
-			r.addf(InvSimAgreement, "t=%d: simulator reports %d unit residents, checker %d",
-				t, snap.UnitSamples, unit)
-		}
-		if len(snap.Segment) != len(states) {
-			r.addf(InvSimAgreement, "t=%d: simulator tracks %d segments, checker %d",
-				t, len(snap.Segment), len(states))
-		}
-		for e, role := range states {
-			simState, ok := snap.Segment[e]
-			if !ok {
-				r.addf(InvSimAgreement, "t=%d: segment %d missing from the simulator snapshot", t, e)
-				continue
-			}
-			if simState.String() != role.String() {
-				r.addf(InvSimAgreement, "t=%d: segment %d is %v in the simulator but %v for the checker",
-					t, e, simState, role)
-			}
-		}
+		simulator.Fill(snap, t)
+		r.compareAt(t, snap, ac)
 		// A handful of disagreements pins the bug; a full horizon of them
 		// would bury it.
 		if len(r.Violations) > 20 {
@@ -231,21 +233,59 @@ func CheckSim(s *sched.Schedule, a *arch.Result) error {
 	return r.Err()
 }
 
+// compareAt records every disagreement between the simulator's snapshot and
+// the checker's accounting at instant t, in a fixed order: the cached and
+// unit-resident counts, the segment count, then each built segment in
+// UsedEdges order, evaluated in place.
+func (r *Report) compareAt(t int, snap *sim.Snapshot, ac *Accounting) {
+	if cached := ac.cachedAt(t); snap.CachedSamples != cached {
+		r.addf(InvSimAgreement, "t=%d: simulator reports %d cached fluids, checker %d",
+			t, snap.CachedSamples, cached)
+	}
+	if unit := ac.UnitAt(t); snap.UnitSamples != unit {
+		r.addf(InvSimAgreement, "t=%d: simulator reports %d unit residents, checker %d",
+			t, snap.UnitSamples, unit)
+	}
+	if len(snap.Segment) != len(ac.edges) {
+		r.addf(InvSimAgreement, "t=%d: simulator tracks %d segments, checker %d",
+			t, len(snap.Segment), len(ac.edges))
+	}
+	for i, e := range ac.edges {
+		role := ac.roleAt(i, t)
+		simState, ok := snap.Segment[e]
+		if !ok {
+			r.addf(InvSimAgreement, "t=%d: segment %d missing from the simulator snapshot", t, e)
+			continue
+		}
+		if simState.String() != role.String() {
+			r.addf(InvSimAgreement, "t=%d: segment %d is %v in the simulator but %v for the checker",
+				t, e, simState, role)
+		}
+	}
+}
+
 // CheckAll runs the full verification: every structural invariant (Check)
 // plus the simulator cross-check (CheckSim) when an architecture is present.
 // Reported counts can be compared by the caller via the returned report.
 func CheckAll(s *sched.Schedule, a *arch.Result) (*Report, error) {
-	rep := Check(s, a)
+	rep, _, err := checkAll(s, a)
+	return rep, err
+}
+
+// checkAll is CheckAll, also returning the schedule's transportation
+// workload (see check).
+func checkAll(s *sched.Schedule, a *arch.Result) (*Report, []sched.Task, error) {
+	rep, tasks := check(s, a)
 	if err := rep.Err(); err != nil {
-		return rep, err
+		return rep, tasks, err
 	}
 	if a != nil {
 		if err := CheckSim(s, a); err != nil {
 			if verr, ok := err.(*Error); ok {
 				rep.Violations = append(rep.Violations, verr.Violations...)
 			}
-			return rep, err
+			return rep, tasks, err
 		}
 	}
-	return rep, nil
+	return rep, tasks, nil
 }

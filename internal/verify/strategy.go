@@ -1,8 +1,9 @@
 package verify
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"flowsyn/internal/arch"
 	"flowsyn/internal/sched"
@@ -26,12 +27,12 @@ import (
 //
 // Like the rest of this package it trusts no engine bookkeeping: the unit
 // workload is re-derived from the schedule's tasks, not from UnitWindows.
-func (r *Report) checkStrategy(s *sched.Schedule, m sched.StorageModel) {
+func (r *Report) checkStrategy(s *sched.Schedule, m sched.StorageModel, tasks []sched.Task) {
 	g := s.Graph
 	distributed := m == nil || (!m.Serialized() && m.ChannelSlots() < 0)
 
 	var unit, channel []sched.Task
-	for _, t := range s.Tasks() {
+	for _, t := range tasks {
 		if t.Kind != sched.Stored {
 			continue
 		}
@@ -55,33 +56,37 @@ func (r *Report) checkStrategy(s *sched.Schedule, m sched.StorageModel) {
 		return
 	}
 
-	name := func(t sched.Task) string {
-		return fmt.Sprintf("%s->%s", g.Op(t.Edge.Parent).Name, g.Op(t.Edge.Child).Name)
-	}
-
 	// Port exclusivity: every unit store and fetch transport holds the unit's
-	// single port exclusively.
+	// single port exclusively. A window is named only when a violation or a
+	// tie on start needs it.
 	type window struct {
 		start, end int
-		desc       string
+		fetch      bool
+		task       int // index in unit
 	}
-	var ports []window
-	for _, t := range unit {
-		ports = append(ports,
-			window{t.OutStart, t.OutEnd, "store " + name(t)},
-			window{t.FetchStart, t.FetchEnd, "fetch " + name(t)})
-	}
-	sort.Slice(ports, func(i, j int) bool {
-		if ports[i].start != ports[j].start {
-			return ports[i].start < ports[j].start
+	desc := func(w window) string {
+		if w.fetch {
+			return "fetch " + taskName(g, unit[w.task])
 		}
-		return ports[i].desc < ports[j].desc
+		return "store " + taskName(g, unit[w.task])
+	}
+	ports := make([]window, 0, 2*len(unit))
+	for i, t := range unit {
+		ports = append(ports,
+			window{t.OutStart, t.OutEnd, false, i},
+			window{t.FetchStart, t.FetchEnd, true, i})
+	}
+	slices.SortFunc(ports, func(a, b window) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
+		}
+		return strings.Compare(desc(a), desc(b))
 	})
 	for i := 1; i < len(ports); i++ {
 		if ports[i].start < ports[i-1].end {
 			r.addf(InvStorageStrategy, "unit port serves %s [%d,%d) and %s [%d,%d) simultaneously",
-				ports[i-1].desc, ports[i-1].start, ports[i-1].end,
-				ports[i].desc, ports[i].start, ports[i].end)
+				desc(ports[i-1]), ports[i-1].start, ports[i-1].end,
+				desc(ports[i]), ports[i].start, ports[i].end)
 		}
 	}
 
@@ -92,19 +97,19 @@ func (r *Report) checkStrategy(s *sched.Schedule, m sched.StorageModel) {
 		p, c := s.Assignments[t.Edge.Parent], s.Assignments[t.Edge.Child]
 		if t.OutStart < p.End {
 			r.addf(InvStorageStrategy, "unit store %s begins at %d before its producer ends at %d",
-				name(t), t.OutStart, p.End)
+				taskName(g, t), t.OutStart, p.End)
 		}
 		if t.OutEnd-t.OutStart != s.Transport || t.FetchEnd-t.FetchStart != s.Transport {
 			r.addf(InvStorageStrategy, "unit task %s transports are not full u_c=%d: store [%d,%d), fetch [%d,%d)",
-				name(t), s.Transport, t.OutStart, t.OutEnd, t.FetchStart, t.FetchEnd)
+				taskName(g, t), s.Transport, t.OutStart, t.OutEnd, t.FetchStart, t.FetchEnd)
 		}
 		if t.FetchStart < t.OutEnd {
 			r.addf(InvStorageStrategy, "unit task %s fetches at %d before its store completes at %d",
-				name(t), t.FetchStart, t.OutEnd)
+				taskName(g, t), t.FetchStart, t.OutEnd)
 		}
 		if t.FetchEnd > c.Start {
 			r.addf(InvStorageStrategy, "unit fetch %s completes at %d after its consumer starts at %d",
-				name(t), t.FetchEnd, c.Start)
+				taskName(g, t), t.FetchEnd, c.Start)
 		}
 	}
 
@@ -115,27 +120,13 @@ func (r *Report) checkStrategy(s *sched.Schedule, m sched.StorageModel) {
 		if slots == 0 && len(channel) > 0 {
 			r.addf(InvStorageStrategy, "dedicated storage but %d fluid(s) cached in channel segments", len(channel))
 		}
-		type event struct{ t, d int }
-		var evs []event
+		var evs []cacheEvent
 		for _, t := range channel {
 			if t.OutEnd < t.FetchStart {
-				evs = append(evs, event{t.OutEnd, +1}, event{t.FetchStart, -1})
+				evs = append(evs, cacheEvent{t.OutEnd, +1}, cacheEvent{t.FetchStart, -1})
 			}
 		}
-		sort.Slice(evs, func(i, j int) bool {
-			if evs[i].t != evs[j].t {
-				return evs[i].t < evs[j].t
-			}
-			return evs[i].d < evs[j].d
-		})
-		cur, peak := 0, 0
-		for _, e := range evs {
-			cur += e.d
-			if cur > peak {
-				peak = cur
-			}
-		}
-		if peak > slots {
+		if peak := peakOf(evs); peak > slots {
 			r.addf(InvStorageStrategy, "channel cache holds %d fluids at its peak but has only %d slot(s)", peak, slots)
 		}
 	}
@@ -145,10 +136,10 @@ func (r *Report) checkStrategy(s *sched.Schedule, m sched.StorageModel) {
 // storage-strategy invariants for the model the result was synthesized under.
 // A nil model means distributed channel storage.
 func CheckAllStrategy(s *sched.Schedule, a *arch.Result, m sched.StorageModel) (*Report, error) {
-	rep, err := CheckAll(s, a)
+	rep, tasks, err := checkAll(s, a)
 	if err != nil {
 		return rep, err
 	}
-	rep.checkStrategy(s, m)
+	rep.checkStrategy(s, m, tasks)
 	return rep, rep.Err()
 }

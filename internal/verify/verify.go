@@ -31,12 +31,14 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"flowsyn/internal/arch"
 	"flowsyn/internal/sched"
+	"flowsyn/internal/seqgraph"
 )
 
 // Invariant classes, used to label violations.
@@ -130,21 +132,30 @@ func (r *Report) addf(invariant, format string, args ...any) {
 // principles. a may be nil, in which case only the schedule-level invariants
 // are checked (useful for schedule-only engines and tests).
 func Check(s *sched.Schedule, a *arch.Result) *Report {
+	r, _ := check(s, a)
+	return r
+}
+
+// check is Check, also returning the schedule's transportation workload
+// (s.Tasks()) when the schedule was sound enough to derive it, so the rest
+// of a verification derives it once.
+func check(s *sched.Schedule, a *arch.Result) (*Report, []sched.Task) {
 	r := &Report{}
 	if s == nil {
 		r.addf(InvAssignment, "no schedule to check")
-		return r
+		return r, nil
 	}
-	okSched := r.checkSchedule(s)
 	// The transportation workload is only meaningful for a structurally sound
 	// schedule; deriving tasks from a corrupt assignment table could panic.
-	if okSched {
-		r.checkTasks(s)
+	if !r.checkSchedule(s) {
+		return r, nil
 	}
-	if a != nil && okSched {
-		r.checkArchitecture(s, a)
+	tasks := s.Tasks()
+	r.checkTasks(s, tasks)
+	if a != nil {
+		r.checkArchitecture(s, a, tasks)
 	}
-	return r
+	return r, tasks
 }
 
 // checkSchedule verifies the scheduling-and-binding invariants (the paper's
@@ -211,7 +222,7 @@ func (r *Report) checkSchedule(s *sched.Schedule) bool {
 		}
 	}
 	for d, list := range perDevice {
-		sort.Slice(list, func(i, j int) bool { return list[i].Start < list[j].Start })
+		slices.SortFunc(list, func(a, b sched.Assignment) int { return cmp.Compare(a.Start, b.Start) })
 		for i := 1; i < len(list); i++ {
 			if list[i].Start < list[i-1].End {
 				r.addf(InvDeviceExclusive, "device %d runs %s and %s concurrently",
@@ -232,56 +243,82 @@ func (r *Report) checkSchedule(s *sched.Schedule) bool {
 	return true
 }
 
+// taskName names a task by its edge, for violation details.
+func taskName(g *seqgraph.Graph, t sched.Task) string {
+	return g.Op(t.Edge.Parent).Name + "->" + g.Op(t.Edge.Child).Name
+}
+
+// cacheEvent is a change in the number of cached fluids at instant t.
+type cacheEvent struct{ t, delta int }
+
+// peakOf returns the peak of the running event sum, fetches releasing before
+// stores claim at equal instants (as in the paper's accounting).
+func peakOf(evs []cacheEvent) int {
+	slices.SortFunc(evs, func(a, b cacheEvent) int {
+		if a.t != b.t {
+			return cmp.Compare(a.t, b.t)
+		}
+		return cmp.Compare(a.delta, b.delta)
+	})
+	cur, peak := 0, 0
+	for _, e := range evs {
+		cur += e.delta
+		if cur > peak {
+			peak = cur
+		}
+	}
+	return peak
+}
+
 // checkTasks verifies the internal transportation workload derived from the
-// schedule and recomputes the Transports/Stored/PeakStorage metrics.
-func (r *Report) checkTasks(s *sched.Schedule) {
+// schedule (tasks, which is s.Tasks()) and recomputes the
+// Transports/Stored/PeakStorage metrics.
+func (r *Report) checkTasks(s *sched.Schedule, tasks []sched.Task) {
 	g := s.Graph
-	type cacheEvent struct{ t, delta int }
 	var events, unitEvents []cacheEvent
-	for _, t := range s.Tasks() {
+	for _, t := range tasks {
 		r.Transports++
 		p, c := s.Assignments[t.Edge.Parent], s.Assignments[t.Edge.Child]
-		name := fmt.Sprintf("%s->%s", g.Op(t.Edge.Parent).Name, g.Op(t.Edge.Child).Name)
 		if t.From != p.Device || t.To != c.Device {
 			r.addf(InvTaskWindows, "task %s travels %d->%d but ops are bound to %d->%d",
-				name, t.From, t.To, p.Device, c.Device)
+				taskName(g, t), t.From, t.To, p.Device, c.Device)
 		}
 		switch t.Kind {
 		case sched.Direct:
 			if t.Depart >= t.Arrive {
-				r.addf(InvTaskWindows, "direct task %s has empty window [%d,%d)", name, t.Depart, t.Arrive)
+				r.addf(InvTaskWindows, "direct task %s has empty window [%d,%d)", taskName(g, t), t.Depart, t.Arrive)
 			}
 			if t.Depart < p.End-1 {
 				// The departure may be clamped one second before the consumer
 				// starts, but never earlier than just before the parent ends.
 				r.addf(InvTaskWindows, "direct task %s departs at %d before its parent ends at %d",
-					name, t.Depart, p.End)
+					taskName(g, t), t.Depart, p.End)
 			}
 			if t.Arrive != c.Start {
 				r.addf(InvTaskWindows, "direct task %s arrives at %d but its consumer starts at %d",
-					name, t.Arrive, c.Start)
+					taskName(g, t), t.Arrive, c.Start)
 			}
 			if t.Arrive-t.Depart > s.Transport {
 				r.addf(InvTaskWindows, "direct task %s occupies its path %d s, longer than u_c=%d plus waiting at the consumer is not modeled",
-					name, t.Arrive-t.Depart, s.Transport)
+					taskName(g, t), t.Arrive-t.Depart, s.Transport)
 			}
 		case sched.Stored:
 			r.Stored++
 			if !(t.OutStart <= t.OutEnd && t.OutEnd <= t.FetchStart && t.FetchStart <= t.FetchEnd) {
 				r.addf(InvTaskWindows, "stored task %s has disordered windows out[%d,%d) cache[%d,%d) fetch[%d,%d)",
-					name, t.OutStart, t.OutEnd, t.OutEnd, t.FetchStart, t.FetchStart, t.FetchEnd)
+					taskName(g, t), t.OutStart, t.OutEnd, t.OutEnd, t.FetchStart, t.FetchStart, t.FetchEnd)
 				continue
 			}
 			if t.OutStart < p.End-1 {
 				r.addf(InvTaskWindows, "stored task %s moves out at %d before its parent ends at %d",
-					name, t.OutStart, p.End)
+					taskName(g, t), t.OutStart, p.End)
 			}
 			if t.FetchEnd > c.Start {
 				r.addf(InvTaskWindows, "stored task %s finishes fetching at %d after its consumer starts at %d",
-					name, t.FetchEnd, c.Start)
+					taskName(g, t), t.FetchEnd, c.Start)
 			}
 			if t.OutStart >= t.FetchEnd {
-				r.addf(InvTaskWindows, "stored task %s has an empty live span [%d,%d)", name, t.OutStart, t.FetchEnd)
+				r.addf(InvTaskWindows, "stored task %s has an empty live span [%d,%d)", taskName(g, t), t.OutStart, t.FetchEnd)
 			}
 			if t.Unit {
 				// The fluid waits inside the dedicated unit, not in a channel:
@@ -292,30 +329,13 @@ func (r *Report) checkTasks(s *sched.Schedule) {
 			}
 			events = append(events, cacheEvent{t.OutEnd, +1}, cacheEvent{t.FetchStart, -1})
 		default:
-			r.addf(InvTaskWindows, "task %s has unknown kind %d", name, t.Kind)
+			r.addf(InvTaskWindows, "task %s has unknown kind %d", taskName(g, t), t.Kind)
 		}
 	}
 
-	// Peak storage demand, recomputed with an event sweep (fetches release
-	// before stores claim at equal instants, as in the paper's accounting).
-	peak := func(evs []cacheEvent) int {
-		sort.Slice(evs, func(i, j int) bool {
-			if evs[i].t != evs[j].t {
-				return evs[i].t < evs[j].t
-			}
-			return evs[i].delta < evs[j].delta
-		})
-		cur, max := 0, 0
-		for _, e := range evs {
-			cur += e.delta
-			if cur > max {
-				max = cur
-			}
-		}
-		return max
-	}
-	r.PeakStorage = peak(events)
-	r.PeakUnit = peak(unitEvents)
+	// Peak storage demand, recomputed with an event sweep.
+	r.PeakStorage = peakOf(events)
+	r.PeakUnit = peakOf(unitEvents)
 }
 
 // unitValves recomputes the mux-tree valve cost of a dedicated unit with the
@@ -339,7 +359,10 @@ func unitValves(cells int) int {
 // checkArchitecture verifies that the routed architecture realizes exactly
 // the schedule's transportation workload under the paper's exclusivity
 // constraints, and recomputes the reported metrics.
-func (r *Report) checkArchitecture(s *sched.Schedule, a *arch.Result) {
+//
+// Every per-resource table is a slice indexed by EdgeID or NodeID; paths
+// must stay on the grid before their resources are looked up.
+func (r *Report) checkArchitecture(s *sched.Schedule, a *arch.Result, tasks []sched.Task) {
 	grid := a.Grid
 	if grid.Rows < 2 || grid.Cols < 2 {
 		r.addf(InvMetrics, "degenerate %s grid", grid)
@@ -375,13 +398,22 @@ func (r *Report) checkArchitecture(s *sched.Schedule, a *arch.Result) {
 
 	// Route cover: the routes must realize the expected workload one-to-one,
 	// in order, between the right device nodes.
-	expected := arch.ExpectedTasks(s, a.Ports)
+	expected := arch.ExpectedTasks(s, tasks, a.Ports)
 	if len(a.Routes) != len(expected) {
 		r.addf(InvRouteCover, "%d routes for %d transportation tasks", len(a.Routes), len(expected))
 		return
 	}
-	used := a.UsedEdgeSet()
-	isDevice := make(map[arch.NodeID]bool, len(a.DevicePos)+1)
+	nEdges, nNodes := grid.NumEdges(), grid.NumNodes()
+	onGrid := func(n arch.NodeID) bool { return n >= 0 && int(n) < nNodes }
+	used := make([]bool, nEdges)
+	for _, e := range a.UsedEdges {
+		// A listed id outside the grid names no segment a path can use.
+		if e >= 0 && int(e) < nEdges {
+			used[e] = true
+		}
+	}
+	isUsed := func(e arch.EdgeID) bool { return e >= 0 && int(e) < nEdges && used[e] }
+	isDevice := make([]bool, nNodes)
 	for _, n := range a.DevicePos {
 		isDevice[n] = true
 	}
@@ -398,8 +430,8 @@ func (r *Report) checkArchitecture(s *sched.Schedule, a *arch.Result) {
 		route      int
 		caching    bool
 	}
-	edgeClaims := make(map[arch.EdgeID][]claim)
-	nodeClaims := make(map[arch.NodeID][]claim)
+	edgeClaims := make([][]claim, nEdges)
+	nodeClaims := make([][]claim, nNodes)
 	addEdgeClaim := func(e arch.EdgeID, c claim) {
 		// Empty windows occupy nothing (a fetch leg has zero length when
 		// u_c is 1, matching the router's own reservation rule).
@@ -425,13 +457,19 @@ func (r *Report) checkArchitecture(s *sched.Schedule, a *arch.Result) {
 			r.addf(InvRoutePath, "route %d %s path has %d nodes for %d edges", route, what, len(nodes), len(edges))
 			return false
 		}
+		for _, n := range nodes {
+			if !onGrid(n) {
+				r.addf(InvRoutePath, "route %d %s path leaves the %s grid at node %d", route, what, grid, n)
+				return false
+			}
+		}
 		for i, e := range edges {
 			if grid.EdgeBetween(nodes[i], nodes[i+1]) != e {
 				r.addf(InvRoutePath, "route %d %s path: edge %d does not join nodes %d and %d",
 					route, what, e, nodes[i], nodes[i+1])
 				return false
 			}
-			if !used[e] {
+			if !isUsed(e) {
 				r.addf(InvRoutePath, "route %d %s path uses segment %d that is not part of the chip", route, what, e)
 				return false
 			}
@@ -541,69 +579,86 @@ func (r *Report) checkArchitecture(s *sched.Schedule, a *arch.Result) {
 	// Channel exclusivity: per resource, no two claims of distinct fluids may
 	// overlap in time — a segment never simultaneously transports and caches
 	// distinct fluids, and a switch never carries two fluids at once.
+	// Claims are sorted by start and never empty, so the later claims that
+	// overlap cx are exactly those that start before cx ends.
 	sweep := func(kind string, id int, claims []claim) {
-		sort.Slice(claims, func(x, y int) bool {
-			if claims[x].start != claims[y].start {
-				return claims[x].start < claims[y].start
+		slices.SortFunc(claims, func(x, y claim) int {
+			if x.start != y.start {
+				return cmp.Compare(x.start, y.start)
 			}
-			return claims[x].route < claims[y].route
+			return cmp.Compare(x.route, y.route)
 		})
 		for x := 0; x < len(claims); x++ {
-			for y := x + 1; y < len(claims); y++ {
+			for y := x + 1; y < len(claims) && claims[y].start < claims[x].end; y++ {
 				cx, cy := claims[x], claims[y]
 				if cx.route == cy.route {
 					continue
 				}
-				if cx.start < cy.end && cy.start < cx.end {
-					rx, ry := "transport", "transport"
-					if cx.caching {
-						rx = "cache"
-					}
-					if cy.caching {
-						ry = "cache"
-					}
-					r.addf(InvChannelExclusive,
-						"%s %d carries fluids of routes %d (%s, [%d,%d)) and %d (%s, [%d,%d)) simultaneously",
-						kind, id, cx.route, rx, cx.start, cx.end, cy.route, ry, cy.start, cy.end)
+				rx, ry := "transport", "transport"
+				if cx.caching {
+					rx = "cache"
 				}
+				if cy.caching {
+					ry = "cache"
+				}
+				r.addf(InvChannelExclusive,
+					"%s %d carries fluids of routes %d (%s, [%d,%d)) and %d (%s, [%d,%d)) simultaneously",
+					kind, id, cx.route, rx, cx.start, cx.end, cy.route, ry, cy.start, cy.end)
 			}
 		}
 	}
-	edgeIDs := make([]int, 0, len(edgeClaims))
-	for e := range edgeClaims {
-		edgeIDs = append(edgeIDs, int(e))
+	for e, claims := range edgeClaims {
+		sweep("segment", e, claims)
 	}
-	sort.Ints(edgeIDs)
-	for _, e := range edgeIDs {
-		sweep("segment", e, edgeClaims[arch.EdgeID(e)])
-	}
-	nodeIDs := make([]int, 0, len(nodeClaims))
-	for n := range nodeClaims {
-		nodeIDs = append(nodeIDs, int(n))
-	}
-	sort.Ints(nodeIDs)
-	for _, n := range nodeIDs {
-		sweep("switch", n, nodeClaims[arch.NodeID(n)])
+	for n, claims := range nodeClaims {
+		sweep("switch", n, claims)
 	}
 
 	// Metrics: the built chip is exactly the union of segments the routes
 	// touch, and the reported counts and ratios match recomputation.
-	touched := make(map[arch.EdgeID]bool)
-	for _, route := range a.Routes {
-		for _, e := range route.Edges() {
-			touched[e] = true
+	touched := make([]bool, nEdges)
+	var offGrid []arch.EdgeID // touched ids outside the grid (corrupt routes)
+	nTouched := 0
+	touch := func(e arch.EdgeID) {
+		switch {
+		case e >= 0 && int(e) < nEdges:
+			if !touched[e] {
+				touched[e] = true
+				nTouched++
+			}
+		case !slices.Contains(offGrid, e):
+			offGrid = append(offGrid, e)
+			nTouched++
 		}
 	}
-	if len(touched) != len(a.UsedEdges) {
-		r.addf(InvMetrics, "chip keeps %d segments but routes touch %d", len(a.UsedEdges), len(touched))
+	wasTouched := func(e arch.EdgeID) bool {
+		if e >= 0 && int(e) < nEdges {
+			return touched[e]
+		}
+		return slices.Contains(offGrid, e)
+	}
+	for i := range a.Routes {
+		route := &a.Routes[i]
+		for _, e := range route.OutEdges {
+			touch(e)
+		}
+		if route.StorageEdge >= 0 {
+			touch(route.StorageEdge)
+		}
+		for _, e := range route.FetchEdges {
+			touch(e)
+		}
+	}
+	if nTouched != len(a.UsedEdges) {
+		r.addf(InvMetrics, "chip keeps %d segments but routes touch %d", len(a.UsedEdges), nTouched)
 	} else {
 		for _, e := range a.UsedEdges {
-			if !touched[e] {
+			if !wasTouched(e) {
 				r.addf(InvMetrics, "chip keeps segment %d that no route touches", e)
 			}
 		}
 	}
-	r.NumEdges = len(touched)
+	r.NumEdges = nTouched
 	if a.NumEdges != r.NumEdges {
 		r.addf(InvMetrics, "reported %d segments, recomputed %d", a.NumEdges, r.NumEdges)
 	}
@@ -612,7 +667,7 @@ func (r *Report) checkArchitecture(s *sched.Schedule, a *arch.Result) {
 	// switch or port; only endpoints inside true devices (and the storage
 	// unit, whose internal valves are priced separately) carry no counted
 	// valve (the paper's n_v accounting).
-	trueDevice := make(map[arch.NodeID]bool, s.Devices+1)
+	trueDevice := make([]bool, nNodes)
 	for _, n := range a.DevicePos[:len(a.DevicePos)-a.Ports] {
 		trueDevice[n] = true
 	}
@@ -623,10 +678,10 @@ func (r *Report) checkArchitecture(s *sched.Schedule, a *arch.Result) {
 		n := 0
 		for _, e := range edges {
 			u, v := grid.Endpoints(e)
-			if !trueDevice[u] {
+			if !onGrid(u) || !trueDevice[u] {
 				n++
 			}
-			if !trueDevice[v] {
+			if !onGrid(v) || !trueDevice[v] {
 				n++
 			}
 		}

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -244,6 +245,81 @@ func TestCheckRejectsSharedStorageSegment(t *testing.T) {
 	r.StorageEdge = mut.Routes[storedIdx[0]].StorageEdge
 	mut.Routes[storedIdx[1]] = r
 	wantClass(t, verify.Check(s, &mut), verify.InvChannelExclusive)
+}
+
+// crossingChip hand-routes two direct transports, d0->d1 during [10,12) and
+// d2->d3 during [bStart, bStart+2), through the same middle row of a 3x3
+// grid: both paths use segments 3-4 and 4-5 and switches 3, 4 and 5.
+func crossingChip(t *testing.T, bStart int) (*sched.Schedule, *arch.Result) {
+	t.Helper()
+	g := seqgraph.New("cross")
+	a1 := g.MustAddOperation("a1", seqgraph.Mix, 10, 1)
+	a2 := g.MustAddOperation("a2", seqgraph.Mix, 10, 0)
+	b1 := g.MustAddOperation("b1", seqgraph.Mix, bStart, 1)
+	b2 := g.MustAddOperation("b2", seqgraph.Mix, 10, 0)
+	g.MustAddDependency(a1, a2)
+	g.MustAddDependency(b1, b2)
+	s := &sched.Schedule{
+		Graph:     g,
+		Devices:   4,
+		Transport: 2,
+		Assignments: []sched.Assignment{
+			{Op: a1, Device: 0, Start: 0, End: 10},
+			{Op: a2, Device: 1, Start: 12, End: 22},
+			{Op: b1, Device: 2, Start: 0, End: bStart},
+			{Op: b2, Device: 3, Start: bStart + 2, End: bStart + 12},
+		},
+		Makespan: bStart + 12,
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	grid, err := arch.NewGrid(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := func(nodes ...arch.NodeID) arch.Route {
+		r := arch.Route{OutNodes: nodes, StorageEdge: -1}
+		for i := 1; i < len(nodes); i++ {
+			r.OutEdges = append(r.OutEdges, grid.EdgeBetween(nodes[i-1], nodes[i]))
+		}
+		return r
+	}
+	ra, rb := path(0, 3, 4, 5, 2), path(6, 3, 4, 5, 8)
+	tasks := s.Tasks()
+	if len(tasks) != 2 || tasks[0].Depart != 10 || tasks[1].Depart != bStart {
+		t.Fatalf("unexpected transport workload %v", tasks)
+	}
+	ra.Task, rb.Task = tasks[0], tasks[1]
+	a := &arch.Result{Grid: grid, DevicePos: []arch.NodeID{0, 2, 6, 8}, StorageUnit: -1, Routes: []arch.Route{ra, rb}}
+	for e := range grid.NumEdges() {
+		if slices.Contains(ra.OutEdges, arch.EdgeID(e)) || slices.Contains(rb.OutEdges, arch.EdgeID(e)) {
+			a.UsedEdges = append(a.UsedEdges, arch.EdgeID(e))
+		}
+	}
+	return s, a
+}
+
+// TestCheckChannelExclusivityAtOneSecond pins the exclusivity sweep at its
+// boundary: transports overlapping for one second clash on both shared
+// segments and all three shared switches, and transports that merely abut
+// do not clash at all.
+func TestCheckChannelExclusivityAtOneSecond(t *testing.T) {
+	for _, tc := range []struct {
+		bStart, clashes int
+	}{{11, 5}, {12, 0}} {
+		s, a := crossingChip(t, tc.bStart)
+		clashes := 0
+		for _, v := range verify.Check(s, a).Violations {
+			if v.Invariant == verify.InvChannelExclusive {
+				clashes++
+			}
+		}
+		if clashes != tc.clashes {
+			t.Errorf("second transport from t=%d: %d channel-exclusivity violations, want %d",
+				tc.bStart, clashes, tc.clashes)
+		}
+	}
 }
 
 func TestCheckRejectsWrongMetrics(t *testing.T) {
